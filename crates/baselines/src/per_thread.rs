@@ -195,8 +195,17 @@ mod tests {
 
         let pt_small = record_per_thread(&small, &input).unwrap().size_bytes();
         let pt_big = record_per_thread(&big, &input).unwrap().size_bytes();
-        let owl_small = owl_core::record_trace(&small, &input).unwrap().size_bytes();
-        let owl_big = owl_core::record_trace(&big, &input).unwrap().size_bytes();
+        let owl_bytes = |program: &DummySbox| {
+            let recorder = owl_core::Recorder::default();
+            let spec = owl_core::RunSpec::default();
+            recorder
+                .record(program, &input, &spec)
+                .result
+                .unwrap()
+                .0
+                .size_bytes()
+        };
+        let (owl_small, owl_big) = (owl_bytes(&small), owl_bytes(&big));
 
         let pt_growth = pt_big as f64 / pt_small as f64;
         let owl_growth = owl_big as f64 / owl_small as f64;

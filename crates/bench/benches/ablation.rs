@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use owl_baselines::record_per_thread;
-use owl_core::record_trace;
+use owl_core::{Recorder, RunSpec};
 use owl_host::Device;
 use owl_workloads::aes::{AesScan, AesTTable};
 use owl_workloads::dummy::DummySbox;
@@ -27,8 +27,12 @@ fn quick(c: &mut Criterion) -> criterion::BenchmarkGroup<'_, criterion::measurem
 fn bench_aggregation(c: &mut Criterion) {
     let mut g = quick(c);
     let dummy = DummySbox::new(2048);
+    let recorder = Recorder::default();
     g.bench_function("aggregation/owl-adcfg-2k-threads", |b| {
-        b.iter(|| record_trace(&dummy, &1).expect("trace"))
+        b.iter(|| {
+            let attempt = recorder.record(&dummy, &1, &RunSpec::default());
+            attempt.result.expect("trace")
+        })
     });
     g.bench_function("aggregation/per-thread-2k-threads", |b| {
         b.iter(|| record_per_thread(&dummy, &1).expect("trace"))

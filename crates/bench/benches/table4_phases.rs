@@ -4,7 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use owl_core::{
-    detect, leakage_test, record_trace, AnalysisConfig, Evidence, OwlConfig, TracedProgram,
+    detect, leakage_test, AnalysisConfig, Evidence, OwlConfig, ProgramTrace, Recorder, RunSpec,
+    TracedProgram,
 };
 use owl_workloads::aes::AesTTable;
 use owl_workloads::dummy::DummySbox;
@@ -21,35 +22,35 @@ fn quick(c: &mut Criterion) -> criterion::BenchmarkGroup<'_, criterion::measurem
     g
 }
 
+/// One standalone recording of `program` over `input`.
+fn trace_of<P: TracedProgram>(program: &P, input: &P::Input) -> ProgramTrace {
+    let attempt = Recorder::default().record(program, input, &RunSpec::default());
+    attempt.result.expect("trace").0
+}
+
 fn bench_trace_collection(c: &mut Criterion) {
     let mut g = quick(c);
 
     let aes = AesTTable::new(32);
     let key = [0x3cu8; 16];
-    g.bench_function("trace/aes128-ttable", |b| {
-        b.iter(|| record_trace(&aes, &key).expect("trace"))
-    });
+    g.bench_function("trace/aes128-ttable", |b| b.iter(|| trace_of(&aes, &key)));
 
     let rsa = RsaSquareMultiply::new(32);
     g.bench_function("trace/rsa-sqm", |b| {
-        b.iter(|| record_trace(&rsa, &0xdead_beefu64).expect("trace"))
+        b.iter(|| trace_of(&rsa, &0xdead_beefu64))
     });
 
     let relu = TorchFunction::new(TorchOpKind::Relu);
     let input = relu.random_input(1);
-    g.bench_function("trace/torch-relu", |b| {
-        b.iter(|| record_trace(&relu, &input).expect("trace"))
-    });
+    g.bench_function("trace/torch-relu", |b| b.iter(|| trace_of(&relu, &input)));
 
     let enc = JpegEncode::new(16, 16);
     let img = enc.random_input(1);
-    g.bench_function("trace/jpeg-encode", |b| {
-        b.iter(|| record_trace(&enc, &img).expect("trace"))
-    });
+    g.bench_function("trace/jpeg-encode", |b| b.iter(|| trace_of(&enc, &img)));
 
     let dummy = DummySbox::new(1024);
     g.bench_function("trace/dummy-1k-threads", |b| {
-        b.iter(|| record_trace(&dummy, &7).expect("trace"))
+        b.iter(|| trace_of(&dummy, &7))
     });
     g.finish();
 }
@@ -58,11 +59,9 @@ fn bench_evidence_and_tests(c: &mut Criterion) {
     let mut g = quick(c);
 
     let aes = AesTTable::new(32);
-    let fixed: Vec<_> = (0..20)
-        .map(|_| record_trace(&aes, &[1u8; 16]).expect("trace"))
-        .collect();
+    let fixed: Vec<_> = (0..20).map(|_| trace_of(&aes, &[1u8; 16])).collect();
     let random: Vec<_> = (0..20)
-        .map(|s| record_trace(&aes, &aes.random_input(s)).expect("trace"))
+        .map(|s| trace_of(&aes, &aes.random_input(s)))
         .collect();
 
     g.bench_function("evidence/merge-20-aes-traces", |b| {

@@ -18,7 +18,7 @@
 //! `--large` extends the sweep to the paper's 128,000-thread scale.
 
 use owl_bench::{fmt_bytes, write_bench_json};
-use owl_core::{record_trace, TracedProgram};
+use owl_core::{ProgramTrace, Recorder, RunSpec, TracedProgram};
 use owl_workloads::dummy::DummySbox;
 use owl_workloads::jpeg::JpegEncode;
 use owl_workloads::torch::{TorchFunction, TorchOpKind};
@@ -31,6 +31,12 @@ struct GrowthPoint {
     total_bytes: usize,
     kernel_bytes: usize,
     malloc_bytes: usize,
+}
+
+/// One standalone recording of `program` over `input`.
+fn trace_of<P: TracedProgram>(program: &P, input: &P::Input) -> ProgramTrace {
+    let attempt = Recorder::default().record(program, input, &RunSpec::default());
+    attempt.result.expect("trace").0
 }
 
 fn main() {
@@ -51,7 +57,7 @@ fn main() {
     };
     for elems in dummy_sizes {
         let d = DummySbox::new(elems);
-        let trace = record_trace(&d, &0x5eed).expect("trace");
+        let trace = trace_of(&d, &0x5eed);
         let (k, m) = trace.size_breakdown();
         println!(
             "{:>10} {:>14} {:>12} {:>12}",
@@ -83,7 +89,7 @@ fn main() {
     for side in jpeg_sides {
         let enc = JpegEncode::new(side, side);
         let img = enc.random_input(1);
-        let trace = record_trace(&enc, &img).expect("trace");
+        let trace = trace_of(&enc, &img);
         let (k, m) = trace.size_breakdown();
         println!(
             "{:>10} {:>10} {:>14} {:>12} {:>12}",
@@ -110,7 +116,7 @@ fn main() {
     let f = TorchFunction::new(TorchOpKind::TensorRepr);
     for seed in [1u64, 2, 3, 4] {
         let input = f.random_input(seed);
-        let trace = record_trace(&f, &input).expect("trace");
+        let trace = trace_of(&f, &input);
         println!(
             "{:>10} {:>14}",
             format!("seed {seed}"),

@@ -16,7 +16,7 @@
 use owl_baselines::static_ir::{analyze_kernel, FindingKind};
 use owl_baselines::{host_only_detect, record_per_thread};
 use owl_bench::write_bench_json;
-use owl_core::{detect, record_trace, OwlConfig, TracedProgram, Verdict};
+use owl_core::{detect, OwlConfig, Recorder, RunSpec, TracedProgram, Verdict};
 use owl_workloads::aes::AesTTable;
 use owl_workloads::dummy::DummySbox;
 use owl_workloads::torch::{Tensor, TorchFunction, TorchInput, TorchOpKind};
@@ -99,7 +99,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for elems in [256usize, 4096, 65536] {
         let d = DummySbox::new(elems);
-        let owl_bytes = record_trace(&d, &1)?.size_bytes();
+        let recorded = Recorder::default().record(&d, &1, &RunSpec::default());
+        let owl_bytes = recorded.result?.0.size_bytes();
         let pt_bytes = record_per_thread(&d, &1)?.size_bytes();
         println!(
             "  {:>9} {:>14} {:>14} {:>7.1}x",

@@ -7,7 +7,7 @@
 //! ```
 
 use owl_bench::{fmt_bytes, write_bench_json};
-use owl_core::{detect, record_trace, OwlConfig, SimCounters, TracedProgram};
+use owl_core::{detect, OwlConfig, Recorder, RunSpec, SimCounters, TracedProgram};
 use owl_workloads::aes::AesTTable;
 use owl_workloads::jpeg::{synthetic_image, JpegDecode, JpegEncode};
 use owl_workloads::rsa::RsaSquareMultiply;
@@ -35,7 +35,8 @@ where
     // Per-trace cost, measured directly (the Table IV "Trace Collection"
     // columns are per trace).
     let t0 = Instant::now();
-    let trace = record_trace(program, &inputs[0]).expect("trace");
+    let recorded = Recorder::default().record(program, &inputs[0], &RunSpec::default());
+    let (trace, _) = recorded.result.expect("trace");
     let trace_time_ms = t0.elapsed().as_secs_f64() * 1e3;
     let trace_bytes = trace.size_bytes();
 

@@ -26,12 +26,6 @@ use owl_stats::mi::class_mi_bits;
 use owl_stats::{EngineOutcome, Histogram, WeightedSamples};
 use std::collections::BTreeSet;
 
-/// Deprecated name of [`Engine`], kept for one release so existing
-/// callers (`AnalysisConfig { method: TestMethod::Ks, .. }`) compile
-/// unchanged. `TestMethod::Welch` resolves to [`Engine::Tvla`]. Use
-/// [`Engine`] in new code.
-pub type TestMethod = Engine;
-
 /// Parameters of the analysis phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalysisConfig {
@@ -51,45 +45,6 @@ impl Default for AnalysisConfig {
     }
 }
 
-impl AnalysisConfig {
-    /// A fluent builder over the defaults:
-    /// `AnalysisConfig::builder().alpha(0.99).build()`.
-    pub fn builder() -> AnalysisConfigBuilder {
-        AnalysisConfigBuilder::default()
-    }
-}
-
-/// Builder for [`AnalysisConfig`].
-#[derive(Debug, Clone, Default)]
-pub struct AnalysisConfigBuilder {
-    config: AnalysisConfig,
-}
-
-impl AnalysisConfigBuilder {
-    /// Confidence level of the distribution tests.
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.config.alpha = alpha;
-        self
-    }
-
-    /// The analysis engine deciding per-feature input dependence.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.config.method = engine;
-        self
-    }
-
-    /// Deprecated spelling of [`AnalysisConfigBuilder::engine`], kept for
-    /// one release.
-    pub fn method(self, method: TestMethod) -> Self {
-        self.engine(method)
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> AnalysisConfig {
-        self.config
-    }
-}
-
 /// The engine's own severity estimate when it quantifies, otherwise an
 /// independent MI estimate — computed lazily, only for rejected features.
 fn severity_bits(out: &EngineOutcome, fs: &WeightedSamples, rs: &WeightedSamples) -> f64 {
@@ -106,27 +61,6 @@ fn structural(kind: LeakKind, location: LeakLocation, detail: String) -> Leak {
         severity_bits: 1.0,
         detail,
     }
-}
-
-/// Runs the full leakage test of §VII-C once per engine and returns the
-/// per-engine reports in [`Engine::ALL`] order — the input of the
-/// cross-engine comparison mode. The evidence is shared; only the phase-3
-/// decision point differs between entries.
-pub fn engine_reports(
-    fix: &Evidence,
-    rnd: &Evidence,
-    config: &AnalysisConfig,
-) -> Vec<(Engine, LeakReport)> {
-    Engine::ALL
-        .iter()
-        .map(|&engine| {
-            let cfg = AnalysisConfig {
-                method: engine,
-                ..*config
-            };
-            (engine, leakage_test(fix, rnd, &cfg))
-        })
-        .collect()
 }
 
 /// Runs the full leakage test of §VII-C.

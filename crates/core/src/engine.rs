@@ -48,12 +48,6 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Deprecated alias for [`Engine::Tvla`], kept for one release so
-    /// callers of the old two-variant `TestMethod` enum (`TestMethod::
-    /// Welch`) compile unchanged. Use `Engine::Tvla` in new code.
-    #[allow(non_upper_case_globals)]
-    pub const Welch: Engine = Engine::Tvla;
-
     /// Every engine, in the canonical comparison order.
     pub const ALL: [Engine; 3] = [Engine::Ks, Engine::Tvla, Engine::Mi];
 
@@ -67,12 +61,11 @@ impl Engine {
         }
     }
 
-    /// Parses a stable engine name; accepts `"welch"` as the historical
-    /// alias of `"tvla"`.
+    /// Parses a stable engine name.
     pub fn from_name(name: &str) -> Option<Engine> {
         match name {
             "ks" => Some(Engine::Ks),
-            "tvla" | "welch" => Some(Engine::Tvla),
+            "tvla" => Some(Engine::Tvla),
             "mi" => Some(Engine::Mi),
             _ => None,
         }
@@ -402,18 +395,8 @@ mod tests {
             assert_eq!(Engine::from_name(engine.name()), Some(engine));
             assert_eq!(engine.build(0.95).name(), engine.name());
         }
-        assert_eq!(Engine::from_name("welch"), Some(Engine::Tvla));
+        assert_eq!(Engine::from_name("welch"), None);
         assert_eq!(Engine::from_name("anova"), None);
-    }
-
-    #[test]
-    fn test_method_alias_still_compiles() {
-        // The one-release compatibility contract of the old enum.
-        let ks: crate::analysis::TestMethod = crate::analysis::TestMethod::Ks;
-        let welch: crate::analysis::TestMethod = crate::analysis::TestMethod::Welch;
-        assert_eq!(ks, Engine::Ks);
-        assert_eq!(welch, Engine::Tvla);
-        assert_eq!(crate::analysis::TestMethod::default(), Engine::Ks);
     }
 
     #[test]

@@ -2,120 +2,63 @@
 //! quarantine, and the typed fault log.
 //!
 //! Real targets crash, deadlock, and time out mid-campaign; the detector's
-//! job is to survive them and *account for* them. Three pieces live here:
+//! job is to survive them and *account for* them. Two pieces live here:
 //!
-//! * [`RetryPolicy`] — a bounded, deterministic retry loop around every
-//!   recording. The retry attempt is folded into the run's
-//!   [`RunSpec`](crate::record::RunSpec) (it feeds the ASLR layout seed),
-//!   so a retried run is still a pure function of `(program, input, spec)`
-//!   and the bit-identical determinism contract holds for every
-//!   `parallelism` setting.
-//! * [`record_run_with_retry`] — the retrying recorder. Panics inside a
-//!   recording attempt are caught (`catch_unwind`) and converted into
-//!   [`DetectError::WorkerPanic`], so a crashing program can never abort
-//!   the detection or poison the fan-out.
+//! * [`RetryPolicy`] — the attempt budget of the bounded, deterministic
+//!   retry loop that [`Recorder::record`](crate::record::Recorder::record)
+//!   runs around every recording. The retry attempt is folded into the
+//!   run's [`RunSpec`](crate::record::RunSpec) (it feeds the ASLR layout
+//!   seed), so a retried run is still a pure function of
+//!   `(program, input, spec)` and the bit-identical determinism contract
+//!   holds for every `parallelism` setting. Panics inside an attempt are
+//!   caught and become [`DetectError::WorkerPanic`], so a crashing program
+//!   can never abort the detection or poison the fan-out; the loop's
+//!   outcome is a [`RunAttempt`].
 //! * [`FaultRecord`] / [`FaultLog`] — runs that exhaust their retries are
 //!   *quarantined*: excluded from the evidence with a typed, serializable
 //!   record of what failed where. The log is deterministic — records
 //!   appear in run order, never in completion order.
 
 use crate::error::{DetectError, RunContext};
-use crate::govern::RunGovernor;
-use crate::program::TracedProgram;
-use crate::record::{record_run_governed, RunSpec};
 use crate::trace::ProgramTrace;
 use owl_metrics::{PhaseFaultCounters, SimCounters};
 use serde::ser::Serialize;
 use serde::Value;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// How a failure should be treated by the retry loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultClass {
-    /// Worth retrying: the next attempt (a different layout seed under
-    /// ASLR, a fresh device always) may succeed.
-    Transient,
-    /// Retrying cannot help; quarantine the run immediately.
-    Permanent,
-}
-
-/// Classifies a recording failure for the retry loop.
-///
-/// A plain function pointer so [`OwlConfig`](crate::OwlConfig) stays
-/// `Copy` + `PartialEq` (policies compare by address).
-pub type FaultClassifier = fn(&DetectError) -> FaultClass;
-
-/// The default classifier: every program-level failure is worth retrying
-/// (each attempt runs on a fresh device, and under ASLR with a fresh
-/// layout); permanent failures are [`DetectError::NoInputs`] (a caller
-/// error, not a run failure) and the governance failures — a cancelled or
-/// budget-exhausted run fails identically on every retry (budgets are
-/// deterministic; a fired token never un-fires), so retrying only burns
-/// wall clock. `FuelExhausted` from the simulator stays transient: with
-/// the default generous fuel it signals a runaway that the injection
-/// harness deliberately recovers from on retry.
-pub fn default_fault_classifier(error: &DetectError) -> FaultClass {
-    match error.root() {
-        DetectError::NoInputs | DetectError::Cancelled | DetectError::BudgetExhausted { .. } => {
-            FaultClass::Permanent
-        }
-        _ => FaultClass::Transient,
-    }
-}
 
 /// Bounded retry for failed recordings.
 ///
 /// Attempt `k` of a run records with `RunSpec { attempt: k, .. }`; since
 /// the layout seed mixes the attempt in, retries are pure functions of
 /// their spec and the detector stays bit-identical across worker counts.
-#[derive(Debug, Clone, Copy)]
+/// Cancelled and budget-exhausted runs are never retried: they would fail
+/// identically on every attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per run, the first try included (`1` = no retries).
     /// Clamped to at least 1.
     pub max_attempts: u32,
-    /// Decides whether a failure is worth another attempt.
-    pub classify: FaultClassifier,
 }
-
-impl PartialEq for RetryPolicy {
-    /// Policies compare by budget and classifier *address* (function
-    /// pointers have no structural equality).
-    fn eq(&self, other: &Self) -> bool {
-        self.max_attempts == other.max_attempts
-            && std::ptr::fn_addr_eq(self.classify, other.classify)
-    }
-}
-
-impl Eq for RetryPolicy {}
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            classify: default_fault_classifier,
-        }
+        RetryPolicy { max_attempts: 3 }
     }
 }
 
 impl RetryPolicy {
     /// A policy that never retries (one attempt per run).
     pub fn no_retries() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
+        RetryPolicy::with_max_attempts(1)
     }
 
-    /// A policy with the given attempt budget and the default classifier.
+    /// A policy with the given attempt budget.
     pub fn with_max_attempts(max_attempts: u32) -> Self {
-        RetryPolicy {
-            max_attempts,
-            ..RetryPolicy::default()
-        }
+        RetryPolicy { max_attempts }
     }
 }
 
-/// The outcome of one run driven through the retry loop.
+/// The outcome of one run driven through the retry loop of
+/// [`Recorder::record`](crate::record::Recorder::record).
 #[derive(Debug)]
 pub struct RunAttempt {
     /// The recorded trace and its execution counters, or the error of the
@@ -160,70 +103,6 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "opaque panic payload".to_string()
-    }
-}
-
-/// Records one run under the retry policy: attempt `k` uses
-/// `spec.with_attempt(k)`, failures are classified, and panics inside the
-/// program or recorder are caught and converted into
-/// [`DetectError::WorkerPanic`].
-///
-/// `spec` is the run's base identity; its `attempt` field is overwritten
-/// per attempt.
-pub fn record_run_with_retry<P: TracedProgram>(
-    program: &P,
-    input: &P::Input,
-    spec: &RunSpec,
-    policy: &RetryPolicy,
-) -> RunAttempt {
-    record_run_with_retry_governed(program, input, spec, policy, RunGovernor::unbounded())
-}
-
-/// [`record_run_with_retry`] under a [`RunGovernor`]: every attempt
-/// records through [`record_run_governed`], so the instruction budget caps
-/// each launch, cancellation is polled cooperatively, and per-run budgets
-/// are enforced. Governance failures are classified by the policy like any
-/// other fault (the default classifier makes them permanent — they are
-/// deterministic, so retrying cannot help).
-pub fn record_run_with_retry_governed<P: TracedProgram>(
-    program: &P,
-    input: &P::Input,
-    spec: &RunSpec,
-    policy: &RetryPolicy,
-    governor: RunGovernor<'_>,
-) -> RunAttempt {
-    let max_attempts = policy.max_attempts.max(1);
-    let mut panics = 0u32;
-    let mut attempt = 0u32;
-    loop {
-        let attempt_spec = spec.with_attempt(attempt);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            record_run_governed(program, input, &attempt_spec, governor)
-        }));
-        let error = match outcome {
-            Ok(Ok(recorded)) => {
-                return RunAttempt {
-                    result: Ok(recorded),
-                    attempts: attempt + 1,
-                    panics,
-                }
-            }
-            Ok(Err(e)) => e,
-            Err(payload) => {
-                panics += 1;
-                DetectError::WorkerPanic {
-                    message: panic_message(payload),
-                }
-            }
-        };
-        attempt += 1;
-        if attempt >= max_attempts || (policy.classify)(&error) == FaultClass::Permanent {
-            return RunAttempt {
-                result: Err(error),
-                attempts: attempt,
-                panics,
-            };
-        }
     }
 }
 
@@ -338,57 +217,6 @@ impl<'a> IntoIterator for &'a FaultLog {
 mod tests {
     use super::*;
     use crate::error::DetectPhase;
-
-    #[test]
-    fn classifier_defaults() {
-        assert_eq!(
-            default_fault_classifier(&DetectError::NoInputs),
-            FaultClass::Permanent
-        );
-        assert_eq!(
-            default_fault_classifier(&DetectError::WorkerPanic {
-                message: "x".into()
-            }),
-            FaultClass::Transient
-        );
-        assert_eq!(
-            default_fault_classifier(&DetectError::TraceMismatch {
-                launches: 1,
-                graphs: 0
-            }),
-            FaultClass::Transient
-        );
-    }
-
-    #[test]
-    fn governance_failures_are_permanent_but_fuel_stays_transient() {
-        use crate::govern::ResourceKind;
-        assert_eq!(
-            default_fault_classifier(&DetectError::Cancelled),
-            FaultClass::Permanent
-        );
-        assert_eq!(
-            default_fault_classifier(&DetectError::BudgetExhausted {
-                resource: ResourceKind::MemEvents,
-                used: 2,
-                limit: 1,
-            }),
-            FaultClass::Permanent
-        );
-        // The injection harness relies on FuelExhausted recovering on retry.
-        assert_eq!(
-            default_fault_classifier(&DetectError::Host(owl_host::HostError::Launch(
-                owl_gpu::ExecError::FuelExhausted
-            ))),
-            FaultClass::Transient
-        );
-        assert_eq!(
-            default_fault_classifier(&DetectError::Host(owl_host::HostError::Launch(
-                owl_gpu::ExecError::Cancelled
-            ))),
-            FaultClass::Transient
-        );
-    }
 
     #[test]
     fn count_into_tallies_governance_quarantines() {

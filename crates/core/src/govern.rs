@@ -149,37 +149,6 @@ impl Default for ResourceBudget {
     }
 }
 
-/// Everything a governed recording needs: the budgets plus the (optional)
-/// cancellation token. Cheap to copy into worker closures.
-#[derive(Debug, Clone, Copy)]
-pub struct RunGovernor<'a> {
-    /// The detection's resource budget.
-    pub budget: &'a ResourceBudget,
-    /// The detection's effective cancellation token (caller token,
-    /// deadline token, or both), `None` when ungoverned.
-    pub cancel: Option<&'a CancelToken>,
-}
-
-impl RunGovernor<'static> {
-    /// The ungoverned default: default budget, no cancellation.
-    #[must_use]
-    pub fn unbounded() -> Self {
-        RunGovernor {
-            budget: &ResourceBudget::DEFAULT,
-            cancel: None,
-        }
-    }
-}
-
-impl RunGovernor<'_> {
-    /// Whether the governed detection has been cancelled (explicitly or by
-    /// deadline). `false` when no token is armed.
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
-        self.cancel.is_some_and(CancelToken::is_cancelled)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,10 +204,5 @@ mod tests {
             }) => {}
             other => panic!("expected evidence exhaustion, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn unbounded_governor_never_cancels() {
-        assert!(!RunGovernor::unbounded().is_cancelled());
     }
 }

@@ -239,9 +239,9 @@ impl FaultPlan {
 /// A [`TracedProgram`] wrapper that deterministically injects faults from
 /// a [`FaultPlan`].
 ///
-/// Injection happens only on detector-driven (spec-aware) recordings —
-/// plain [`record_trace`](crate::record::record_trace) calls see the inner
-/// program unmodified. The wrapper always reports
+/// Every recording hands the wrapper its [`RunSpec`], so injection keys on
+/// the run identity alone; only a direct [`TracedProgram::run`] call, with
+/// no spec, sees the inner program unmodified. The wrapper always reports
 /// `deterministic_host() == false`: injection keys on `(run_index,
 /// attempt)`, so fixed-input runs are *not* interchangeable and the
 /// record-once replication fast path must stay off.
@@ -302,8 +302,8 @@ impl<P: TracedProgram> TracedProgram for FaultyProgram<P> {
                 spec.stream, spec.run_index, spec.attempt
             ),
             // Detector-level faults fire in `injected_detect_fault`, before
-            // the recorder ever calls the program; reaching here means a
-            // spec-less entry point, which injection leaves untouched.
+            // the recorder ever calls the program; reaching here means the
+            // caller bypassed the recorder, which injection leaves untouched.
             Some(InjectedFault::BudgetExhausted(_) | InjectedFault::DeadlineExpired) => {
                 self.inner.run_with_spec(device, input, spec)
             }
@@ -337,7 +337,7 @@ impl<P: TracedProgram> TracedProgram for FaultyProgram<P> {
 mod tests {
     use super::*;
     use crate::error::DetectError;
-    use crate::record::{record_run, record_run_metered};
+    use crate::record::record_run_metered;
     use owl_gpu::build::KernelBuilder;
     use owl_gpu::grid::LaunchConfig;
     use owl_gpu::isa::{MemWidth, SpecialReg};
@@ -390,8 +390,8 @@ mod tests {
     fn unmatched_runs_pass_through_unchanged() {
         let plan = FaultPlan::new().fail_run(1, 0, InjectedFault::Exec(ExecFaultKind::Memory));
         let faulty = FaultyProgram::new(Probe::new(), plan);
-        let clean = record_run(&Probe::new(), &0, &spec(0, 5, 0)).expect("clean run");
-        let wrapped = record_run(&faulty, &0, &spec(0, 5, 0)).expect("unmatched run");
+        let clean = record_run_metered(&Probe::new(), &0, &spec(0, 5, 0)).expect("clean run");
+        let wrapped = record_run_metered(&faulty, &0, &spec(0, 5, 0)).expect("unmatched run");
         assert_eq!(clean, wrapped);
     }
 
@@ -400,7 +400,7 @@ mod tests {
         for kind in ExecFaultKind::ALL {
             let plan = FaultPlan::new().fail_run(1, 2, InjectedFault::Exec(kind));
             let faulty = FaultyProgram::new(Probe::new(), plan);
-            let err = record_run(&faulty, &0, &spec(1, 2, 0)).expect_err("injected");
+            let err = record_run_metered(&faulty, &0, &spec(1, 2, 0)).expect_err("injected");
             assert_eq!(
                 err,
                 DetectError::Host(HostError::Launch(kind.synthesize())),
@@ -415,10 +415,11 @@ mod tests {
         let plan =
             FaultPlan::new().fail_attempts(1, 2, 2, InjectedFault::Exec(ExecFaultKind::Memory));
         let faulty = FaultyProgram::new(Probe::new(), plan);
-        assert!(record_run(&faulty, &0, &spec(1, 2, 0)).is_err());
-        assert!(record_run(&faulty, &0, &spec(1, 2, 1)).is_err());
-        let recovered = record_run(&faulty, &0, &spec(1, 2, 2)).expect("attempt 2 succeeds");
-        let clean = record_run(&Probe::new(), &0, &spec(1, 2, 2)).expect("clean");
+        assert!(record_run_metered(&faulty, &0, &spec(1, 2, 0)).is_err());
+        assert!(record_run_metered(&faulty, &0, &spec(1, 2, 1)).is_err());
+        let recovered =
+            record_run_metered(&faulty, &0, &spec(1, 2, 2)).expect("attempt 2 succeeds");
+        let clean = record_run_metered(&Probe::new(), &0, &spec(1, 2, 2)).expect("clean");
         assert_eq!(recovered, clean);
     }
 
@@ -446,12 +447,12 @@ mod tests {
             )
             .fail_run(1, 1, InjectedFault::DeadlineExpired);
         let faulty = FaultyProgram::new(Probe::new(), plan);
-        let err = record_run(&faulty, &0, &spec(1, 0, 0)).expect_err("budget fault");
+        let err = record_run_metered(&faulty, &0, &spec(1, 0, 0)).expect_err("budget fault");
         assert_eq!(err.kind(), "budget_exhausted");
         assert!(err.to_string().contains("mem_events"), "{err}");
-        let err = record_run(&faulty, &0, &spec(1, 1, 0)).expect_err("deadline fault");
+        let err = record_run_metered(&faulty, &0, &spec(1, 1, 0)).expect_err("deadline fault");
         assert_eq!(err.kind(), "cancelled");
-        assert!(record_run(&faulty, &0, &spec(2, 0, 0)).is_ok());
+        assert!(record_run_metered(&faulty, &0, &spec(2, 0, 0)).is_ok());
     }
 
     #[test]
@@ -459,9 +460,9 @@ mod tests {
         let plan = FaultPlan::new().fail_stream(3, InjectedFault::InvalidFree);
         let faulty = FaultyProgram::new(Probe::new(), plan);
         for run in [0u64, 1, 7] {
-            let err = record_run(&faulty, &0, &spec(3, run, 0)).expect_err("injected");
+            let err = record_run_metered(&faulty, &0, &spec(3, run, 0)).expect_err("injected");
             assert_eq!(err.kind(), "host_invalid_free");
         }
-        assert!(record_run(&faulty, &0, &spec(2, 0, 0)).is_ok());
+        assert!(record_run_metered(&faulty, &0, &spec(2, 0, 0)).is_ok());
     }
 }

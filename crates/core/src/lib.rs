@@ -7,9 +7,9 @@
 //! The detector runs in the paper's three phases:
 //!
 //! 1. **Trace recording** ([`record`]): the program under test (a
-//!    [`TracedProgram`]) runs under instrumentation; each kernel launch is
-//!    reconstructed into an A-DCFG, and host allocations/launches are
-//!    recorded with call-site identity.
+//!    [`TracedProgram`]) runs under instrumentation through a
+//!    [`Recorder`]; each kernel launch is reconstructed into an A-DCFG,
+//!    and host allocations/launches are recorded with call-site identity.
 //! 2. **Duplicates removing** ([`filter`]): user inputs whose traces are
 //!    identical collapse into classes; a single class means no observable
 //!    input dependence.
@@ -94,21 +94,16 @@ pub mod summary;
 pub mod trace;
 pub mod tracer;
 
-pub use analysis::{
-    engine_reports, leakage_test, AnalysisConfig, AnalysisConfigBuilder, TestMethod,
-};
+pub use analysis::{leakage_test, AnalysisConfig};
 pub use engine::{
     AnalysisEngine, Engine, EngineComparison, EngineRow, EngineVerdict, KsEngine, MiEngine,
     TvlaEngine,
 };
 pub use error::{DetectError, DetectPhase, RunContext};
 pub use evidence::Evidence;
-pub use fault::{
-    default_fault_classifier, record_run_with_retry, record_run_with_retry_governed, FaultClass,
-    FaultClassifier, FaultLog, FaultRecord, RetryPolicy, RunAttempt,
-};
+pub use fault::{FaultLog, FaultRecord, RetryPolicy, RunAttempt};
 pub use filter::{filter_traces, FilterOutcome, InputClass};
-pub use govern::{CancelToken, ResourceBudget, ResourceKind, RunGovernor};
+pub use govern::{CancelToken, ResourceBudget, ResourceKind};
 pub use inject::{ExecFaultKind, FaultPlan, FaultRule, FaultyProgram, InjectedFault};
 pub use owl::{
     detect, detect_with_cancel, fix_stream, ConfigError, Detection, OwlConfig, OwlConfigBuilder,
@@ -119,10 +114,7 @@ pub use owl_metrics::{
 };
 pub use owl_stats::EngineOutcome;
 pub use program::TracedProgram;
-pub use record::{
-    record_run, record_run_governed, record_run_metered, record_run_with_interpreter, record_trace,
-    record_trace_on, RunSpec,
-};
+pub use record::{record_run_metered, Recorder, RunSpec};
 pub use report::{Leak, LeakKind, LeakLocation, LeakReport};
 pub use summary::{verdict_name, BudgetUtilization, DetectionSummary, MetricsReport, PhaseStatsMs};
 pub use trace::{InvocationKey, KernelInvocation, MallocRecord, ProgramTrace};

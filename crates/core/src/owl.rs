@@ -1,18 +1,17 @@
 //! The Owl detector: the three phases end to end.
 
-use crate::analysis::{engine_reports, leakage_test, AnalysisConfig, TestMethod};
+use crate::analysis::{leakage_test, AnalysisConfig};
 use crate::engine::{Engine, EngineComparison};
 use crate::error::{DetectError, DetectPhase, RunContext};
 use crate::evidence::Evidence;
-use crate::fault::{
-    record_run_with_retry_governed, FaultLog, FaultRecord, RetryPolicy, RunAttempt,
-};
+use crate::fault::{FaultLog, FaultRecord, RetryPolicy, RunAttempt};
 use crate::filter::{filter_traces, FilterOutcome};
-use crate::govern::{CancelToken, ResourceBudget, ResourceKind, RunGovernor};
+use crate::govern::{CancelToken, ResourceBudget, ResourceKind};
 use crate::parallel::parallel_map;
 use crate::program::TracedProgram;
-use crate::record::RunSpec;
+use crate::record::{Recorder, RunSpec};
 use crate::report::LeakReport;
+use crate::trace::ProgramTrace;
 use owl_metrics::{FaultCounters, PhaseFaultCounters, SimCounters, Spans};
 use std::time::{Duration, Instant};
 
@@ -295,23 +294,10 @@ impl OwlConfigBuilder {
         self
     }
 
-    /// Deprecated spelling of [`OwlConfigBuilder::engine`], kept for one
-    /// release.
-    pub fn method(self, method: TestMethod) -> Self {
-        self.engine(method)
-    }
-
     /// Runs every engine over the shared evidence and records the
     /// cross-engine agreement table ([`Detection::engine_comparison`]).
     pub fn engines_all(mut self) -> Self {
         self.config.compare_engines = true;
-        self
-    }
-
-    /// Explicitly sets comparison mode (see
-    /// [`OwlConfigBuilder::engines_all`]).
-    pub fn compare_engines(mut self, compare: bool) -> Self {
-        self.config.compare_engines = compare;
         self
     }
 
@@ -494,37 +480,149 @@ struct EvidenceItem {
 /// What one evidence chunk produced: the partial evidence over its
 /// surviving runs, plus the chunk's fault accounting. Chunks never fail —
 /// faulty runs inside them are quarantined per run.
+#[derive(Default)]
 struct ChunkOutcome {
     partial: Evidence,
     counters: SimCounters,
     fault_counters: PhaseFaultCounters,
-    faults: Vec<FaultRecord>,
+    faults: FaultLog,
     kept: usize,
     elapsed: Duration,
 }
 
-/// Converts a phase-1 run outcome into either a kept trace or a fault
-/// record, folding its attempt counts into the phase counters.
-fn settle_attempt(
+/// The merged evidence the distribution tests compare.
+struct EvidenceSets {
+    rnd: Evidence,
+    /// One fixed-input evidence set per input class.
+    fixes: Vec<Evidence>,
+    /// Per class: both sides of its test kept at least the quorum.
+    quorate: Vec<bool>,
+}
+
+/// What the analysis phase produced: the configured engine's report and,
+/// in comparison mode, the cross-engine agreement table.
+#[derive(Default)]
+struct Analysis {
+    report: LeakReport,
+    engine_comparison: Option<EngineComparison>,
+}
+
+/// Everything the phases add to on the way to the [`Detection`].
+#[derive(Default)]
+struct Ledger {
+    stats: PhaseStats,
+    counters: SimCounters,
+    spans: Spans,
+    faults: FaultLog,
+    fault_counters: FaultCounters,
+    /// A user input, a run below quorum, a class's test or the evidence
+    /// budget was lost, so a clean result cannot be certified.
+    lost: bool,
+}
+
+impl Ledger {
+    /// The finaliser. `analysis` is `None` when filtering settled the
+    /// detection and no distribution test ran.
+    ///
+    /// Leaks found on surviving evidence are real regardless of what was
+    /// lost; a clean-looking result is only certified when nothing was —
+    /// leak-free when filtering found a single class, no input dependence
+    /// when the distribution tests ran.
+    fn finish<I>(
+        self,
+        filter: FilterOutcome<I>,
+        analysis: Option<Analysis>,
+        started: Instant,
+    ) -> Detection<I> {
+        let analysed = analysis.is_some();
+        let Analysis {
+            report,
+            engine_comparison,
+        } = analysis.unwrap_or_default();
+        let verdict = if !report.is_clean() {
+            Verdict::Leaky
+        } else if self.lost {
+            Verdict::Inconclusive
+        } else if analysed {
+            Verdict::NoInputDependence
+        } else {
+            Verdict::LeakFree
+        };
+        Detection {
+            filter,
+            report,
+            verdict,
+            stats: PhaseStats {
+                total_time: started.elapsed(),
+                ..self.stats
+            },
+            counters: self.counters,
+            spans: self.spans,
+            faults: self.faults,
+            fault_counters: self.fault_counters,
+            engine_comparison,
+        }
+    }
+}
+
+/// The identity of a run (or class test) in the fault log; the attempt is
+/// filled in by [`fault_record`].
+fn run_context(
+    phase: DetectPhase,
+    class: Option<usize>,
+    stream: u64,
+    run_index: usize,
+) -> RunContext {
+    RunContext {
+        phase,
+        class,
+        stream,
+        run_index: run_index as u64,
+        attempt: 0,
+    }
+}
+
+/// The quarantine record of a lost run — the one place a [`FaultRecord`]
+/// is built. The context's attempt becomes the last, losing one of
+/// `attempts`.
+fn fault_record(context: RunContext, attempts: u32, error: DetectError) -> FaultRecord {
+    FaultRecord {
+        context: RunContext {
+            attempt: attempts.saturating_sub(1),
+            ..context
+        },
+        attempts,
+        error,
+    }
+}
+
+/// Folds a run's attempts into the phase counters and returns what it
+/// recorded; a lost run is logged to `faults` instead.
+fn settle(
     attempt: RunAttempt,
     context: RunContext,
-    phase_counters: &mut PhaseFaultCounters,
+    counters: &mut PhaseFaultCounters,
     faults: &mut FaultLog,
-) -> Option<(crate::trace::ProgramTrace, SimCounters)> {
-    attempt.count_into(phase_counters);
+) -> Option<(ProgramTrace, SimCounters)> {
+    attempt.count_into(counters);
     match attempt.result {
         Ok(recorded) => Some(recorded),
         Err(error) => {
-            faults.push(FaultRecord {
-                context: RunContext {
-                    attempt: attempt.attempts.saturating_sub(1),
-                    ..context
-                },
-                attempts: attempt.attempts,
-                error,
-            });
+            faults.push(fault_record(context, attempt.attempts, error));
             None
         }
+    }
+}
+
+/// A work item lost in one attempt: a cancelled class test, or a panic
+/// that escaped the recorder's own guard (a bookkeeping bug, quarantined
+/// all the same rather than crashing the detection).
+fn lost_item(error: DetectError) -> RunAttempt {
+    let panics = u32::from(matches!(error, DetectError::WorkerPanic { .. }));
+    RunAttempt {
+        result: Err(error),
+        attempts: 1,
+        panics,
     }
 }
 
@@ -608,191 +706,239 @@ where
     if user_inputs.is_empty() {
         return Err(DetectError::NoInputs);
     }
+    let started = Instant::now();
     // The effective token: the caller's, tightened by the config deadline.
     // A deadline with no caller token gets a fresh token to hang off.
-    let token: Option<CancelToken> = match (cancel, config.budget.deadline) {
+    let cancel = match (cancel, config.budget.deadline) {
         (Some(t), Some(d)) => Some(t.deadline_in(d)),
         (Some(t), None) => Some(t.clone()),
         (None, Some(d)) => Some(CancelToken::new().deadline_in(d)),
         (None, None) => None,
     };
-    let token = token.as_ref();
-    let governor = RunGovernor {
-        budget: &config.budget,
-        cancel: token,
+    let pipeline = Pipeline {
+        program,
+        config,
+        recorder: Recorder {
+            budget: config.budget,
+            cancel,
+            retry: config.retry,
+            ..Recorder::default()
+        },
+        workers: config.parallelism.max(1),
     };
-    let workers = config.parallelism.max(1);
-    let retry = config.retry;
-    let spec = |stream, run_index| RunSpec {
-        warp_size: config.warp_size,
-        aslr_seed: config.aslr_seed,
-        stream,
-        run_index: run_index as u64,
-        attempt: 0,
-    };
-    let t_total = Instant::now();
-    let mut spans = Spans::new();
-    let mut counters = SimCounters::default();
-    let mut faults = FaultLog::new();
-    let mut fault_counters = FaultCounters::default();
-
-    // Phase 1 + 2: record one trace per user input (fanned out, collected
-    // in input order) and filter into classes. Counters merge in input
-    // order; u64 addition commutes, so the totals match the serial run.
-    // Failed inputs are quarantined in input order and excluded from
-    // filtering — their loss blocks any clean verdict below.
-    let t0 = Instant::now();
-    let attempts = parallel_map(workers, user_inputs.len(), token, |i| {
-        record_run_with_retry_governed(
-            program,
-            &user_inputs[i],
-            &spec(STREAM_USER, i),
-            &retry,
-            governor,
-        )
+    let mut ledger = Ledger::default();
+    let filter = pipeline.filter_user_inputs(user_inputs, &mut ledger);
+    // Filtering settles the detection when no class is left (every input
+    // quarantined) or a single one (the paper stops there).
+    let settled = filter.classes.is_empty() || (filter.single_class() && !config.force_analysis);
+    let analysis = (!settled).then(|| {
+        let evidence = pipeline.collect_evidence(&filter, &mut ledger);
+        pipeline.analyse(&evidence, &mut ledger)
     });
-    let mut kept_inputs = Vec::with_capacity(user_inputs.len());
-    let mut traces = Vec::with_capacity(user_inputs.len());
-    for (i, slot) in attempts.into_iter().enumerate() {
-        // The retry loop catches panics itself, so a chunk-level panic can
-        // only come from the recorder's bookkeeping; quarantine it all the
-        // same rather than crash the detection.
-        let attempt = slot.unwrap_or_else(|panic| RunAttempt {
-            result: Err(DetectError::WorkerPanic {
-                message: panic.message,
-            }),
-            attempts: 1,
-            panics: 1,
-        });
-        let context = RunContext {
-            phase: DetectPhase::TraceCollection,
-            class: None,
-            stream: STREAM_USER,
-            run_index: i as u64,
+    Ok(ledger.finish(filter, analysis, started))
+}
+
+/// The read-only side of one detection: the program, its configuration,
+/// the recorder every run goes through, and the worker count.
+struct Pipeline<'a, P> {
+    program: &'a P,
+    config: &'a OwlConfig,
+    recorder: Recorder,
+    workers: usize,
+}
+
+impl<P> Pipeline<'_, P>
+where
+    P: TracedProgram + Sync,
+    P::Input: Send + Sync,
+{
+    /// The first-attempt identity of run `run_index` in `stream`.
+    fn spec(&self, stream: u64, run_index: usize) -> RunSpec {
+        RunSpec {
+            warp_size: self.config.warp_size,
+            aslr_seed: self.config.aslr_seed,
+            stream,
+            run_index: run_index as u64,
             attempt: 0,
-        };
-        if let Some((trace, run_counters)) = settle_attempt(
-            attempt,
-            context,
-            &mut fault_counters.trace_collection,
-            &mut faults,
-        ) {
-            counters.merge(&run_counters);
-            kept_inputs.push(user_inputs[i].clone());
-            traces.push(trace);
         }
     }
-    let trace_bytes = traces.iter().map(|t| t.size_bytes()).sum::<usize>() / traces.len().max(1);
-    let inputs_lost = kept_inputs.len() < user_inputs.len();
-    let filter = filter_traces(&kept_inputs, traces);
-    let trace_collection_time = t0.elapsed();
-    spans.record("trace_collection", trace_collection_time);
 
-    // Every input quarantined: nothing to analyse, and nothing clean to
-    // certify either.
-    if filter.classes.is_empty() {
-        return Ok(Detection {
-            filter,
-            report: LeakReport::default(),
-            verdict: Verdict::Inconclusive,
-            stats: PhaseStats {
-                trace_collection_time,
-                trace_bytes,
-                total_time: t_total.elapsed(),
-                ..Default::default()
-            },
-            counters,
-            spans,
-            faults,
-            fault_counters,
-            engine_comparison: None,
-        });
+    fn token(&self) -> Option<&CancelToken> {
+        self.recorder.cancel.as_ref()
     }
 
-    if filter.single_class() && !config.force_analysis {
-        // A single class is only leak-free when every input actually made
-        // it into the comparison.
-        let verdict = if inputs_lost {
-            Verdict::Inconclusive
-        } else {
-            Verdict::LeakFree
-        };
-        return Ok(Detection {
-            filter,
-            report: LeakReport::default(),
-            verdict,
-            stats: PhaseStats {
-                trace_collection_time,
-                trace_bytes,
-                total_time: t_total.elapsed(),
-                ..Default::default()
-            },
-            counters,
-            spans,
-            faults,
-            fault_counters,
-            engine_comparison: None,
+    /// Phases 1 and 2: records one trace per user input (fanned out,
+    /// collected in input order) and filters them into classes. Counters
+    /// merge in input order; u64 addition commutes, so the totals match
+    /// the serial run. Failed inputs are quarantined in input order and
+    /// excluded from filtering — their loss blocks any clean verdict.
+    fn filter_user_inputs(
+        &self,
+        user_inputs: &[P::Input],
+        ledger: &mut Ledger,
+    ) -> FilterOutcome<P::Input> {
+        let started = Instant::now();
+        let attempts = parallel_map(self.workers, user_inputs.len(), self.token(), |i| {
+            self.recorder
+                .record(self.program, &user_inputs[i], &self.spec(STREAM_USER, i))
         });
+        let mut kept_inputs = Vec::with_capacity(user_inputs.len());
+        let mut traces = Vec::with_capacity(user_inputs.len());
+        for (i, slot) in attempts.into_iter().enumerate() {
+            let context = run_context(DetectPhase::TraceCollection, None, STREAM_USER, i);
+            if let Some((trace, run_counters)) = settle(
+                slot.map_err(DetectError::from).unwrap_or_else(lost_item),
+                context,
+                &mut ledger.fault_counters.trace_collection,
+                &mut ledger.faults,
+            ) {
+                ledger.counters.merge(&run_counters);
+                kept_inputs.push(user_inputs[i].clone());
+                traces.push(trace);
+            }
+        }
+        ledger.stats.trace_bytes =
+            traces.iter().map(|t| t.size_bytes()).sum::<usize>() / traces.len().max(1);
+        ledger.lost |= kept_inputs.len() < user_inputs.len();
+        let filter = filter_traces(&kept_inputs, traces);
+        ledger.stats.trace_collection_time = started.elapsed();
+        ledger
+            .spans
+            .record("trace_collection", ledger.stats.trace_collection_time);
+        filter
     }
 
-    // Phase 3: evidence. One work item per run chunk, for the shared
-    // random evidence and every class's fixed evidence alike; workers fold
-    // their chunk into a partial [`Evidence`], and the partials merge in
-    // chunk order below. Runs that exhaust their retries are quarantined
-    // inside the chunk; the chunk still yields the rest of its runs.
-    let t1 = Instant::now();
-    let mut items = Vec::new();
-    for class in std::iter::once(None).chain((0..filter.classes.len()).map(Some)) {
-        let stream = match class {
-            None => STREAM_RND,
-            Some(c) => fix_stream(c),
-        };
-        let mut start = 0;
-        while start < config.runs {
-            let end = (start + EVIDENCE_CHUNK).min(config.runs);
-            items.push(EvidenceItem {
-                class,
-                stream,
-                start,
-                end,
-            });
-            start = end;
+    /// Phase 3, evidence: one work item per run chunk, for the shared
+    /// random evidence and every class's fixed evidence alike. Workers
+    /// fold their chunk into a partial [`Evidence`], and the partials merge
+    /// in chunk order. Then the evidence budget and the per-set quorum are
+    /// checked.
+    fn collect_evidence(
+        &self,
+        filter: &FilterOutcome<P::Input>,
+        ledger: &mut Ledger,
+    ) -> EvidenceSets {
+        let config = self.config;
+        let started = Instant::now();
+        let classes = filter.classes.len();
+        let mut items = Vec::new();
+        for class in std::iter::once(None).chain((0..classes).map(Some)) {
+            let stream = class.map_or(STREAM_RND, fix_stream);
+            for start in (0..config.runs).step_by(EVIDENCE_CHUNK) {
+                let end = (start + EVIDENCE_CHUNK).min(config.runs);
+                items.push(EvidenceItem {
+                    class,
+                    stream,
+                    start,
+                    end,
+                });
+            }
+        }
+        let evidence_workers = self.workers.min(items.len()).max(1);
+        let chunks = parallel_map(evidence_workers, items.len(), self.token(), |i| {
+            self.record_chunk(&items[i], filter)
+        });
+        let mut rnd = Evidence::default();
+        let mut rnd_kept = 0usize;
+        let mut fixes = vec![Evidence::default(); classes];
+        let mut fix_kept = vec![0usize; classes];
+        for (item, slot) in items.iter().zip(chunks) {
+            match slot {
+                Ok(chunk) => {
+                    ledger.stats.evidence_cpu_time += chunk.elapsed;
+                    ledger.counters.merge(&chunk.counters);
+                    ledger.fault_counters.evidence.merge(&chunk.fault_counters);
+                    ledger.faults.extend(chunk.faults);
+                    let (set, kept) = match item.class {
+                        None => (&mut rnd, &mut rnd_kept),
+                        Some(c) => (&mut fixes[c], &mut fix_kept[c]),
+                    };
+                    set.merge(chunk.partial);
+                    *kept += chunk.kept;
+                }
+                Err(panic) => {
+                    // The recorder catches program panics, so losing a
+                    // whole chunk is a bookkeeping bug — quarantine every
+                    // run in it deterministically rather than abort.
+                    let lost = (item.end - item.start) as u64;
+                    let counters = &mut ledger.fault_counters.evidence;
+                    counters.panics += 1;
+                    counters.failed_attempts += lost;
+                    counters.quarantined += lost;
+                    let context =
+                        run_context(DetectPhase::Evidence, item.class, item.stream, item.start);
+                    ledger.faults.push(fault_record(context, 1, panic.into()));
+                }
+            }
+        }
+        ledger.stats.evidence_time = started.elapsed();
+        ledger.spans.record("evidence", ledger.stats.evidence_time);
+        ledger.stats.evidence_traces = config.runs * (1 + classes);
+        ledger.stats.evidence_workers = evidence_workers;
+        ledger.stats.peak_evidence_bytes =
+            rnd.size_bytes() + fixes.iter().map(Evidence::size_bytes).max().unwrap_or(0);
+
+        // Evidence-footprint budget: the *total* merged evidence this
+        // detection holds. Checked on the main thread after the merge, so
+        // the outcome is a pure function of `(program, inputs, config)` —
+        // the deterministic-budget contract. The evidence is kept (it was
+        // already paid for and may prove a leak); the overrun is recorded
+        // as a fault and blocks any clean verdict.
+        let evidence_bytes =
+            rnd.size_bytes() + fixes.iter().map(Evidence::size_bytes).sum::<usize>();
+        if let Err(error) = config.budget.check_evidence(evidence_bytes) {
+            ledger.lost = true;
+            ledger.fault_counters.evidence.budget_exhausted += 1;
+            let context = run_context(DetectPhase::Evidence, None, STREAM_RND, 0);
+            ledger.faults.push(fault_record(context, 1, error));
+        }
+
+        // Quorum: a distribution test is only trusted when both of its
+        // sides kept enough runs. Shortfalls skip the affected tests
+        // (never fake them) and block any clean verdict.
+        let quorum = config.quorum();
+        let quorate: Vec<bool> = fix_kept
+            .iter()
+            .map(|&kept| rnd_kept >= quorum && kept >= quorum)
+            .collect();
+        ledger.lost |= quorate.contains(&false);
+        EvidenceSets {
+            rnd,
+            fixes,
+            quorate,
         }
     }
-    let evidence_workers = workers.min(items.len()).max(1);
-    let partials = parallel_map(evidence_workers, items.len(), token, |i| {
-        let item = &items[i];
-        let t = Instant::now();
-        let mut outcome = ChunkOutcome {
-            partial: Evidence::default(),
-            counters: SimCounters::default(),
-            fault_counters: PhaseFaultCounters::default(),
-            faults: Vec::new(),
-            kept: 0,
-            elapsed: Duration::ZERO,
-        };
-        // With ASLR off and a host audited pure (`deterministic_host`),
-        // a fixed-class run is a pure function of `(program, input)` —
+
+    /// Records one evidence chunk. Runs that exhaust their retries are
+    /// quarantined inside the chunk; the chunk still yields the rest.
+    fn record_chunk(&self, item: &EvidenceItem, filter: &FilterOutcome<P::Input>) -> ChunkOutcome {
+        let config = self.config;
+        let started = Instant::now();
+        let mut outcome = ChunkOutcome::default();
+        // With ASLR off and a host audited pure (`deterministic_host`), a
+        // fixed-class run is a pure function of `(program, input)` —
         // `run_index` only feeds the layout seed — so every run of this
-        // item produces a bit-identical trace and counters. Record once
-        // and replicate exactly instead of re-recording `n` identical
-        // runs. Impure hosts (e.g. a per-run nonce) must keep
-        // re-recording: their fixed-run noise has to reach the evidence
-        // so the differential test can dismiss it.
-        let mut replicated = false;
-        if let (Some(c), None, true) = (item.class, config.aslr_seed, program.deterministic_host())
-        {
+        // item produces a bit-identical trace and counters. Record once and
+        // replicate exactly instead of re-recording `n` identical runs.
+        // Impure hosts (e.g. a per-run nonce) must keep re-recording: their
+        // fixed-run noise has to reach the evidence so the differential
+        // test can dismiss it.
+        if let (Some(c), None, true) = (
+            item.class,
+            config.aslr_seed,
+            self.program.deterministic_host(),
+        ) {
             let input = &filter.classes[c].representative;
-            let attempt = record_run_with_retry_governed(
-                program,
-                input,
-                &spec(item.stream, item.start),
-                &retry,
-                governor,
-            );
+            let attempt =
+                self.recorder
+                    .record(self.program, input, &self.spec(item.stream, item.start));
+            // A failed probe falls through to the per-run loop: each run
+            // then earns its own retries and its own quarantine record,
+            // exactly as an impure host would. The probe's attempts are not
+            // counted — the per-run loop re-derives the failure. A
+            // successful probe records once for the whole chunk, so its
+            // retry accounting folds exactly once (not per replica).
             if attempt.result.is_ok() {
-                // The probe records once for the whole chunk, so its retry
-                // accounting folds exactly once (not per replica).
                 attempt.count_into(&mut outcome.fault_counters);
             }
             if let Ok((trace, run_counters)) = attempt.result {
@@ -802,274 +948,109 @@ where
                 }
                 outcome.partial.merge_trace_repeated(trace, n as u64);
                 outcome.kept = n;
-                replicated = true;
+                outcome.elapsed = started.elapsed();
+                return outcome;
             }
-            // A failed probe falls through to the per-run loop: each run
-            // then earns its own retries and its own quarantine record,
-            // exactly as an impure host would. The probe's attempts are
-            // not counted — the per-run loop re-derives the failure.
         }
-        if !replicated {
-            for run in item.start..item.end {
-                let random_input;
-                let input = match item.class {
-                    None => {
-                        random_input = program.random_input(config.seed.wrapping_add(run as u64));
-                        &random_input
-                    }
-                    Some(c) => &filter.classes[c].representative,
-                };
-                let attempt = record_run_with_retry_governed(
-                    program,
-                    input,
-                    &spec(item.stream, run),
-                    &retry,
-                    governor,
-                );
-                attempt.count_into(&mut outcome.fault_counters);
-                match attempt.result {
-                    Ok((trace, run_counters)) => {
-                        outcome.counters.merge(&run_counters);
-                        outcome.partial.merge_trace(trace);
-                        outcome.kept += 1;
-                    }
-                    Err(error) => outcome.faults.push(FaultRecord {
-                        context: RunContext {
-                            phase: DetectPhase::Evidence,
-                            class: item.class,
-                            stream: item.stream,
-                            run_index: run as u64,
-                            attempt: attempt.attempts.saturating_sub(1),
-                        },
-                        attempts: attempt.attempts,
-                        error,
-                    }),
+        for run in item.start..item.end {
+            let random_input;
+            let input = match item.class {
+                None => {
+                    random_input = self
+                        .program
+                        .random_input(config.seed.wrapping_add(run as u64));
+                    &random_input
                 }
+                Some(c) => &filter.classes[c].representative,
+            };
+            let attempt = self
+                .recorder
+                .record(self.program, input, &self.spec(item.stream, run));
+            let context = run_context(DetectPhase::Evidence, item.class, item.stream, run);
+            if let Some((trace, run_counters)) = settle(
+                attempt,
+                context,
+                &mut outcome.fault_counters,
+                &mut outcome.faults,
+            ) {
+                outcome.counters.merge(&run_counters);
+                outcome.partial.merge_trace(trace);
+                outcome.kept += 1;
             }
         }
-        outcome.elapsed = t.elapsed();
+        outcome.elapsed = started.elapsed();
         outcome
-    });
-    let mut evidence_cpu_time = Duration::ZERO;
-    let mut rnd = Evidence::default();
-    let mut rnd_kept = 0usize;
-    let mut fixes = vec![Evidence::default(); filter.classes.len()];
-    let mut fix_kept = vec![0usize; filter.classes.len()];
-    for (item, slot) in items.iter().zip(partials) {
-        match slot {
-            Ok(outcome) => {
-                evidence_cpu_time += outcome.elapsed;
-                counters.merge(&outcome.counters);
-                fault_counters.evidence.merge(&outcome.fault_counters);
-                for record in outcome.faults {
-                    faults.push(record);
-                }
-                match item.class {
-                    None => {
-                        rnd.merge(outcome.partial);
-                        rnd_kept += outcome.kept;
-                    }
-                    Some(c) => {
-                        fixes[c].merge(outcome.partial);
-                        fix_kept[c] += outcome.kept;
-                    }
-                }
-            }
-            Err(panic) => {
-                // The per-run retry loop catches program panics, so losing
-                // a whole chunk is a recorder bug — quarantine every run
-                // in it deterministically rather than abort.
-                let lost = (item.end - item.start) as u64;
-                fault_counters.evidence.panics += 1;
-                fault_counters.evidence.failed_attempts += lost;
-                fault_counters.evidence.quarantined += lost;
-                faults.push(FaultRecord {
-                    context: RunContext {
-                        phase: DetectPhase::Evidence,
-                        class: item.class,
-                        stream: item.stream,
-                        run_index: item.start as u64,
-                        attempt: 0,
-                    },
-                    attempts: 1,
-                    error: DetectError::WorkerPanic {
-                        message: panic.message,
-                    },
-                });
-            }
-        }
-    }
-    let evidence_time = t1.elapsed();
-    spans.record("evidence", evidence_time);
-    let peak_evidence_bytes =
-        rnd.size_bytes() + fixes.iter().map(Evidence::size_bytes).max().unwrap_or(0);
-
-    // Evidence-footprint budget: the *total* merged evidence this
-    // detection holds. Checked on the main thread after the merge, so the
-    // outcome is a pure function of `(program, inputs, config)` — the
-    // deterministic-budget contract. The evidence is kept (it was already
-    // paid for and may prove a leak); the overrun is recorded as a fault
-    // and blocks any clean verdict below.
-    let evidence_bytes = rnd.size_bytes() + fixes.iter().map(Evidence::size_bytes).sum::<usize>();
-    let mut evidence_over_budget = false;
-    if let Err(error) = config.budget.check_evidence(evidence_bytes) {
-        evidence_over_budget = true;
-        fault_counters.evidence.budget_exhausted += 1;
-        faults.push(FaultRecord {
-            context: RunContext {
-                phase: DetectPhase::Evidence,
-                class: None,
-                stream: STREAM_RND,
-                run_index: 0,
-                attempt: 0,
-            },
-            attempts: 1,
-            error,
-        });
     }
 
-    // Quorum: a distribution test is only trusted when both of its sides
-    // kept enough runs. Shortfalls skip the affected tests (never fake
-    // them) and force an inconclusive verdict below.
-    let quorum = config.quorum();
-    let rnd_ok = rnd_kept >= quorum;
-    let class_ok: Vec<bool> = fix_kept.iter().map(|&kept| kept >= quorum).collect();
-    let below_quorum = !rnd_ok || class_ok.iter().any(|&ok| !ok);
-
-    // Distribution tests: one per class, fanned out, merged in class order.
-    // In comparison mode every engine analyses the same evidence; the
-    // per-engine reports merge engine-wise in class order (deterministic),
-    // the primary report is the configured engine's, and the agreement
-    // table is derived from the merged per-engine reports.
-    let t2 = Instant::now();
-    let analysis_config = AnalysisConfig {
-        alpha: config.alpha,
-        method: config.method,
-    };
-    let quarantine_analysis_panic =
-        |c: usize, message: &str, fault_counters: &mut FaultCounters, faults: &mut FaultLog| {
-            fault_counters.analysis.panics += 1;
-            fault_counters.analysis.failed_attempts += 1;
-            fault_counters.analysis.quarantined += 1;
-            faults.push(FaultRecord {
-                context: RunContext {
-                    phase: DetectPhase::Analysis,
-                    class: Some(c),
-                    stream: fix_stream(c),
-                    run_index: 0,
-                    attempt: 0,
-                },
-                attempts: 1,
-                error: DetectError::WorkerPanic {
-                    message: message.to_string(),
-                },
-            });
+    /// Phase 3, analysis: one distribution test per class, fanned out and
+    /// merged in class order. In comparison mode every engine analyses the
+    /// same evidence; the per-engine reports merge engine-wise in class
+    /// order, the primary report is the configured engine's, and the
+    /// agreement table is derived from the merged per-engine reports.
+    fn analyse(&self, evidence: &EvidenceSets, ledger: &mut Ledger) -> Analysis {
+        let config = self.config;
+        let started = Instant::now();
+        let classes = evidence.fixes.len();
+        let engines: &[Engine] = if config.compare_engines {
+            &Engine::ALL
+        } else {
+            std::slice::from_ref(&config.method)
         };
-    let mut report = LeakReport::default();
-    let mut analysis_lost = false;
-    let mut engine_comparison = None;
-    // Cancellation is snapshotted once: either the whole analysis runs or
-    // none of it does, so a deadline racing the fan-out cannot yield a
-    // report built from an unpredictable subset of classes.
-    let analysis_cancelled = token.is_some_and(CancelToken::is_cancelled);
-    if analysis_cancelled {
-        analysis_lost = true;
-        for c in 0..fixes.len() {
-            fault_counters.analysis.failed_attempts += 1;
-            fault_counters.analysis.quarantined += 1;
-            fault_counters.analysis.cancelled += 1;
-            faults.push(FaultRecord {
-                context: RunContext {
-                    phase: DetectPhase::Analysis,
-                    class: Some(c),
-                    stream: fix_stream(c),
-                    run_index: 0,
-                    attempt: 0,
-                },
-                attempts: 1,
-                error: DetectError::Cancelled,
-            });
-        }
-    } else if config.compare_engines {
-        let class_reports = parallel_map(workers, fixes.len(), token, |c| {
-            if !rnd_ok || !class_ok[c] {
-                return None;
-            }
-            Some(engine_reports(&fixes[c], &rnd, &analysis_config))
-        });
-        let mut merged: Vec<(Engine, LeakReport)> = Engine::ALL
+        // Cancellation is snapshotted once: either the whole analysis runs
+        // or none of it does, so a deadline racing the fan-out cannot yield
+        // a report built from an unpredictable subset of classes.
+        let cancelled = self.token().is_some_and(CancelToken::is_cancelled);
+        let class_reports: Vec<Result<_, DetectError>> = if cancelled {
+            (0..classes).map(|_| Err(DetectError::Cancelled)).collect()
+        } else {
+            parallel_map(self.workers, classes, self.token(), |c| {
+                evidence.quorate[c].then(|| {
+                    engines
+                        .iter()
+                        .map(|&method| {
+                            let analysis = AnalysisConfig {
+                                alpha: config.alpha,
+                                method,
+                            };
+                            leakage_test(&evidence.fixes[c], &evidence.rnd, &analysis)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .into_iter()
+            .map(|slot| slot.map_err(DetectError::from))
+            .collect()
+        };
+        let mut merged: Vec<(Engine, LeakReport)> = engines
             .iter()
             .map(|&engine| (engine, LeakReport::default()))
             .collect();
-        for (c, slot) in class_reports.iter().enumerate() {
+        for (c, slot) in class_reports.into_iter().enumerate() {
             match slot {
-                Ok(Some(per_engine)) => {
-                    for ((_, acc), (_, class_report)) in merged.iter_mut().zip(per_engine) {
-                        acc.merge(class_report);
+                Ok(Some(reports)) => {
+                    for ((_, acc), report) in merged.iter_mut().zip(&reports) {
+                        acc.merge(report);
                     }
                 }
-                Ok(None) => {} // below quorum — already covered by `below_quorum`
-                Err(panic) => {
-                    analysis_lost = true;
-                    quarantine_analysis_panic(c, &panic.message, &mut fault_counters, &mut faults);
+                Ok(None) => {} // below quorum — already marked lost
+                Err(error) => {
+                    ledger.lost = true;
+                    let context = run_context(DetectPhase::Analysis, Some(c), fix_stream(c), 0);
+                    let counters = &mut ledger.fault_counters.analysis;
+                    settle(lost_item(error), context, counters, &mut ledger.faults);
                 }
             }
         }
-        report = merged
-            .iter()
-            .find(|(engine, _)| *engine == config.method)
-            .map(|(_, r)| r.clone())
-            .unwrap_or_default();
-        engine_comparison = Some(EngineComparison::from_reports(&merged));
-    } else {
-        let class_reports = parallel_map(workers, fixes.len(), token, |c| {
-            if !rnd_ok || !class_ok[c] {
-                return None;
-            }
-            Some(leakage_test(&fixes[c], &rnd, &analysis_config))
-        });
-        for (c, slot) in class_reports.iter().enumerate() {
-            match slot {
-                Ok(Some(class_report)) => report.merge(class_report),
-                Ok(None) => {} // below quorum — already covered by `below_quorum`
-                Err(panic) => {
-                    analysis_lost = true;
-                    quarantine_analysis_panic(c, &panic.message, &mut fault_counters, &mut faults);
-                }
-            }
+        ledger.stats.test_time = started.elapsed();
+        ledger.spans.record("analysis", ledger.stats.test_time);
+        Analysis {
+            // A cancelled analysis compared nothing, so it has no table.
+            engine_comparison: (config.compare_engines && !cancelled)
+                .then(|| EngineComparison::from_reports(&merged)),
+            report: merged
+                .into_iter()
+                .find_map(|(engine, report)| (engine == config.method).then_some(report))
+                .unwrap_or_default(),
         }
     }
-    let test_time = t2.elapsed();
-    spans.record("analysis", test_time);
-
-    // Leaks found on surviving evidence are real regardless of what was
-    // lost; a clean-looking result is only leak-free when nothing was.
-    let verdict = if !report.is_clean() {
-        Verdict::Leaky
-    } else if inputs_lost || below_quorum || analysis_lost || evidence_over_budget {
-        Verdict::Inconclusive
-    } else {
-        Verdict::NoInputDependence
-    };
-    Ok(Detection {
-        stats: PhaseStats {
-            trace_collection_time,
-            trace_bytes,
-            evidence_traces: config.runs * (1 + filter.classes.len()),
-            evidence_time,
-            evidence_cpu_time,
-            evidence_workers,
-            test_time,
-            peak_evidence_bytes,
-            total_time: t_total.elapsed(),
-        },
-        filter,
-        report,
-        verdict,
-        counters,
-        spans,
-        faults,
-        fault_counters,
-        engine_comparison,
-    })
 }

@@ -17,6 +17,7 @@
 //! identically, so panic behaviour is part of the bit-identical
 //! determinism contract rather than an artifact of threading.
 
+use crate::error::DetectError;
 use crate::govern::CancelToken;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -27,6 +28,14 @@ use std::sync::Mutex;
 pub(crate) struct CaughtPanic {
     /// The rendered panic payload.
     pub message: String,
+}
+
+impl From<CaughtPanic> for DetectError {
+    fn from(panic: CaughtPanic) -> Self {
+        DetectError::WorkerPanic {
+            message: panic.message,
+        }
+    }
 }
 
 /// Applies `f` to every index in `0..n` on up to `workers` threads and

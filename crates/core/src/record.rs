@@ -1,45 +1,39 @@
 //! Phase 1 — trace recording (paper §V).
 //!
-//! One recorded execution = a fresh device, the Owl tracer attached, the
-//! program run once, and the host/device observations zipped into a
-//! [`ProgramTrace`]: kernel launches (host side, with call-site identity)
-//! paired with their A-DCFGs (device side), plus allocation records.
+//! One recorded execution = a fresh device set up from the run's
+//! [`RunSpec`], the Owl tracer attached, the program run once, and the
+//! host/device observations zipped into a [`ProgramTrace`]: kernel
+//! launches (host side, with call-site identity) paired with their A-DCFGs
+//! (device side), plus allocation records.
+//!
+//! [`Recorder::record`] is the one recording entry point. It owns every
+//! step of a run: the cancellation and injected-fault pre-checks, the
+//! device and tracer, the per-run budget check, and the deterministic
+//! retry loop that turns panics into typed faults.
+//! [`record_run_metered`] is a single unguarded attempt of the same steps.
 
 use crate::error::DetectError;
-use crate::govern::RunGovernor;
+use crate::fault::{panic_message, RetryPolicy, RunAttempt};
+use crate::govern::{CancelToken, ResourceBudget};
 use crate::program::TracedProgram;
 use crate::trace::{InvocationKey, KernelInvocation, MallocRecord, ProgramTrace};
 use crate::tracer::OwlTracer;
+use owl_gpu::exec::{Interpreter, LaunchOptions};
 use owl_host::{Device, HostEvent};
+use owl_metrics::SimCounters;
 use std::cell::RefCell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
-/// Records one execution of `program` over `input`.
-///
-/// Every recording uses a fresh [`Device`], so traces are independent of
-/// prior executions (the paper restarts the target per run).
-///
-/// # Errors
-///
-/// Returns [`DetectError::Host`] if the program fails, or
-/// [`DetectError::TraceMismatch`] if instrumentation lost events.
-pub fn record_trace<P: TracedProgram>(
-    program: &P,
-    input: &P::Input,
-) -> Result<ProgramTrace, DetectError> {
-    let mut device = Device::new();
-    record_trace_on(program, input, &mut device)
-}
-
-/// Identity of one detector-driven recording: everything needed to set up
-/// the device deterministically, independent of which thread records the
-/// run or in which order runs execute.
+/// Identity of one recording: everything needed to set up the device
+/// deterministically, independent of which thread records the run or in
+/// which order runs execute.
 ///
 /// The detector assigns every recording a `(stream, run_index)` pair —
 /// phase-1 user-input recordings, the shared `E_rnd` recordings, and each
 /// class's `E_fix` recordings live in distinct streams — and the simulated
 /// ASLR layout is a pure mix of `(aslr_seed, stream, run_index)`. Two
-/// [`record_run`] calls with equal arguments produce equal traces.
+/// [`Recorder::record`] calls with equal arguments produce equal traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunSpec {
     /// SIMT warp width for the recording device.
@@ -55,6 +49,20 @@ pub struct RunSpec {
     /// spec: attempt 0 reproduces the pre-retry layout exactly, and each
     /// retry sees a fresh (but deterministic) layout under ASLR.
     pub attempt: u32,
+}
+
+impl Default for RunSpec {
+    /// A standalone recording: the default warp width, ASLR off, the first
+    /// attempt of run 0 in stream 0.
+    fn default() -> Self {
+        RunSpec {
+            warp_size: owl_gpu::grid::WARP_SIZE,
+            aslr_seed: None,
+            stream: 0,
+            run_index: 0,
+            attempt: 0,
+        }
+    }
 }
 
 impl RunSpec {
@@ -90,26 +98,133 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Records one detector-driven run: a pure function of
-/// `(program, input, spec)`.
+/// How runs are recorded: the interpreter, the resource budget, the
+/// cancellation token and the retry policy.
 ///
-/// Replaces the former order-dependent closure in `detect()` (which seeded
-/// ASLR from a shared incrementing counter): the device layout now derives
-/// from [`RunSpec::layout_seed`], so any thread may record any run in any
-/// order and produce bit-identical traces.
-///
-/// # Errors
-///
-/// See [`record_trace`].
-pub fn record_run<P: TracedProgram>(
-    program: &P,
-    input: &P::Input,
-    spec: &RunSpec,
-) -> Result<ProgramTrace, DetectError> {
-    record_run_metered(program, input, spec).map(|(trace, _)| trace)
+/// The default records on the lowered interpreter under the default budget
+/// (simulator fuel only), with no token and the default retry policy.
+/// `detect()` builds one from its [`OwlConfig`](crate::OwlConfig); the
+/// conformance suite swaps in [`Interpreter::Oracle`] and asserts the
+/// traces, digests and counters come out bit-identical.
+#[derive(Debug, Clone, Default)]
+pub struct Recorder {
+    /// The simulator interpreter every launch runs on.
+    pub interpreter: Interpreter,
+    /// The instruction budget becomes each launch's fuel; the memory-event
+    /// and allocation budgets are checked once a run completes.
+    pub budget: ResourceBudget,
+    /// Polled before each attempt and cooperatively at basic-block
+    /// boundaries (`None` = never cancelled).
+    pub cancel: Option<CancelToken>,
+    /// Attempts per run.
+    pub retry: RetryPolicy,
 }
 
-/// [`record_run`] that also returns the run's simulator execution counters.
+impl Recorder {
+    /// Records one run of `program` over `input`: a pure function of
+    /// `(program, input, spec)` and the recorder.
+    ///
+    /// Attempt `k` records `spec.with_attempt(k)` (the `attempt` field of
+    /// `spec` is overwritten), on a fresh device whose layout derives from
+    /// [`RunSpec::layout_seed`] — so any thread may record any run in any
+    /// order and produce bit-identical traces. A panic inside an attempt
+    /// is caught and becomes [`DetectError::WorkerPanic`]. Failures are
+    /// retried up to [`RetryPolicy::max_attempts`], except the ones no
+    /// retry can fix: cancellation, budget exhaustion and
+    /// [`DetectError::NoInputs`].
+    ///
+    /// A cancelled run never yields a partial trace: it fails with
+    /// [`DetectError::Cancelled`] and the whole run is dropped, which is
+    /// what keeps surviving evidence deterministic under deadlines.
+    pub fn record<P: TracedProgram>(
+        &self,
+        program: &P,
+        input: &P::Input,
+        spec: &RunSpec,
+    ) -> RunAttempt {
+        let max_attempts = self.retry.max_attempts.max(1);
+        let mut panics = 0u32;
+        let mut attempt = 0u32;
+        loop {
+            let attempt_spec = spec.with_attempt(attempt);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                self.record_once(program, input, &attempt_spec)
+            }));
+            let error = match outcome {
+                Ok(Ok(recorded)) => {
+                    return RunAttempt {
+                        result: Ok(recorded),
+                        attempts: attempt + 1,
+                        panics,
+                    }
+                }
+                Ok(Err(e)) => e,
+                Err(payload) => {
+                    panics += 1;
+                    DetectError::WorkerPanic {
+                        message: panic_message(payload),
+                    }
+                }
+            };
+            attempt += 1;
+            if attempt >= max_attempts || is_permanent(&error) {
+                return RunAttempt {
+                    result: Err(error),
+                    attempts: attempt,
+                    panics,
+                };
+            }
+        }
+    }
+
+    /// One attempt: the pre-checks, the traced run, the budget check.
+    fn record_once<P: TracedProgram>(
+        &self,
+        program: &P,
+        input: &P::Input,
+        spec: &RunSpec,
+    ) -> Result<(ProgramTrace, SimCounters), DetectError> {
+        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            return Err(DetectError::Cancelled);
+        }
+        if let Some(fault) = program.injected_detect_fault(spec) {
+            return Err(fault);
+        }
+        let mut device = spec
+            .layout_seed()
+            .map_or_else(Device::new, Device::with_aslr);
+        device.set_launch_options(LaunchOptions {
+            warp_size: spec.warp_size,
+            interpreter: self.interpreter,
+            fuel: self.budget.max_instructions,
+            cancel: self.cancel.clone(),
+        });
+        let trace = trace_run(program, input, &mut device, spec)?;
+        let counters = device.total_stats().counters;
+        self.budget
+            .check_run(counters.mem_accesses, trace.mallocs.len() as u64)?;
+        Ok((trace, counters))
+    }
+}
+
+/// Whether retrying `error` is pointless. [`DetectError::NoInputs`] is a
+/// caller error, not a run failure; a cancelled or budget-exhausted run
+/// fails identically on every retry (budgets are deterministic; a fired
+/// token never un-fires), so retrying only burns wall clock. Every
+/// program-level failure is worth another attempt: each runs on a fresh
+/// device, and under ASLR with a fresh layout. `FuelExhausted` from the
+/// simulator stays retryable: with the default generous fuel it signals a
+/// runaway that the injection harness deliberately recovers from on retry.
+fn is_permanent(error: &DetectError) -> bool {
+    matches!(
+        error.root(),
+        DetectError::NoInputs | DetectError::Cancelled | DetectError::BudgetExhausted { .. }
+    )
+}
+
+/// One attempt of [`Recorder::default`] — the lowered interpreter, no
+/// budget beyond the default fuel, no token — returning the trace and the
+/// run's simulator execution counters, with no retry and no panic guard.
 ///
 /// The counters are kept **out of** [`ProgramTrace`] on purpose: traces are
 /// compared and digested by the duplicate filter, and folding counters into
@@ -119,122 +234,30 @@ pub fn record_run<P: TracedProgram>(
 ///
 /// # Errors
 ///
-/// See [`record_trace`].
+/// [`DetectError::Host`] if the program fails,
+/// [`DetectError::TraceMismatch`] if instrumentation lost events, or the
+/// fault a [`FaultyProgram`](crate::FaultyProgram) injects.
 pub fn record_run_metered<P: TracedProgram>(
     program: &P,
     input: &P::Input,
     spec: &RunSpec,
-) -> Result<(ProgramTrace, owl_metrics::SimCounters), DetectError> {
-    record_run_governed(program, input, spec, RunGovernor::unbounded())
+) -> Result<(ProgramTrace, SimCounters), DetectError> {
+    Recorder::default().record_once(program, input, spec)
 }
 
-/// [`record_run_metered`] under a [`RunGovernor`]: the governor's
-/// instruction budget becomes the simulator fuel for every launch in the
-/// run, its cancellation token is polled cooperatively at basic-block
-/// boundaries, and the per-run memory-event/allocation budgets are checked
-/// once the run completes.
-///
-/// Cancellation is checked *before* the run starts as well, so an expired
-/// deadline fails fast without touching the device. A cancelled run never
-/// yields a partial trace — callers get [`DetectError::Cancelled`] and the
-/// whole run is dropped, which is what keeps surviving evidence
-/// deterministic under wall-clock deadlines.
-///
-/// # Errors
-///
-/// Everything [`record_trace`] raises, plus
-/// [`DetectError::Cancelled`] and [`DetectError::BudgetExhausted`].
-pub fn record_run_governed<P: TracedProgram>(
-    program: &P,
-    input: &P::Input,
-    spec: &RunSpec,
-    governor: RunGovernor<'_>,
-) -> Result<(ProgramTrace, owl_metrics::SimCounters), DetectError> {
-    if governor.is_cancelled() {
-        return Err(DetectError::Cancelled);
-    }
-    if let Some(fault) = program.injected_detect_fault(spec) {
-        return Err(fault);
-    }
-    let mut device = match spec.layout_seed() {
-        None => Device::new(),
-        Some(seed) => Device::with_aslr(seed),
-    };
-    device.set_launch_options(owl_gpu::exec::LaunchOptions {
-        warp_size: spec.warp_size,
-        interpreter: owl_gpu::exec::Interpreter::Lowered,
-        fuel: governor.budget.max_instructions,
-        cancel: governor.cancel.cloned(),
-    });
-    let trace = record_trace_inner(program, input, &mut device, Some(spec))?;
-    let counters = device.total_stats().counters;
-    governor
-        .budget
-        .check_run(counters.mem_accesses, trace.mallocs.len() as u64)?;
-    Ok((trace, counters))
-}
-
-/// [`record_run_metered`] with an explicit simulator interpreter.
-///
-/// This is the conformance seam: the `owl-conformance` suite records the
-/// same `(program, input, spec)` under the lowered fast path and under the
-/// reference oracle and asserts the resulting [`ProgramTrace`]s (and their
-/// digests, and the execution counters) are bit-identical. Production
-/// callers should use [`record_run`] / [`record_run_metered`], which pin
-/// the lowered interpreter.
-///
-/// # Errors
-///
-/// See [`record_trace`].
-pub fn record_run_with_interpreter<P: TracedProgram>(
-    program: &P,
-    input: &P::Input,
-    spec: &RunSpec,
-    interpreter: owl_gpu::exec::Interpreter,
-) -> Result<(ProgramTrace, owl_metrics::SimCounters), DetectError> {
-    let mut device = match spec.layout_seed() {
-        None => Device::new(),
-        Some(seed) => Device::with_aslr(seed),
-    };
-    device.set_launch_options(owl_gpu::exec::LaunchOptions {
-        warp_size: spec.warp_size,
-        interpreter,
-        ..owl_gpu::exec::LaunchOptions::default()
-    });
-    let trace = record_trace_inner(program, input, &mut device, Some(spec))?;
-    Ok((trace, device.total_stats().counters))
-}
-
-/// [`record_trace`] on a caller-provided device (e.g. one with simulated
-/// ASLR enabled, to exercise the normalisation path).
-///
-/// # Errors
-///
-/// See [`record_trace`].
-pub fn record_trace_on<P: TracedProgram>(
+/// Runs `program` once on `device` under the Owl tracer and zips the host
+/// events with the device graphs into a [`ProgramTrace`]. The spec reaches
+/// [`TracedProgram::run_with_spec`], so spec-aware programs (the
+/// fault-injection wrapper) can key behaviour on the run identity.
+fn trace_run<P: TracedProgram>(
     program: &P,
     input: &P::Input,
     device: &mut Device,
-) -> Result<ProgramTrace, DetectError> {
-    record_trace_inner(program, input, device, None)
-}
-
-/// The shared recording core. Detector-driven runs pass their [`RunSpec`]
-/// so spec-aware programs ([`TracedProgram::run_with_spec`], e.g. the
-/// fault-injection wrapper) can key behaviour on the run identity;
-/// spec-less entry points pass `None` and hit the plain `run` path.
-fn record_trace_inner<P: TracedProgram>(
-    program: &P,
-    input: &P::Input,
-    device: &mut Device,
-    spec: Option<&RunSpec>,
+    spec: &RunSpec,
 ) -> Result<ProgramTrace, DetectError> {
     let tracer = Rc::new(RefCell::new(OwlTracer::new(device.alloc_table())));
     device.attach_hook(tracer.clone());
-    let run_result = match spec {
-        Some(spec) => program.run_with_spec(device, input, spec),
-        None => program.run(device, input),
-    };
+    let run_result = program.run_with_spec(device, input, spec);
     device.detach_hook();
     run_result?;
 
@@ -361,11 +384,22 @@ mod tests {
         }
     }
 
+    /// One recording with the default recorder and `spec`.
+    fn trace_at(toy: &Toy, input: u64, spec: &RunSpec) -> ProgramTrace {
+        let attempt = Recorder::default().record(toy, &input, spec);
+        assert_eq!(attempt.attempts, 1);
+        attempt.result.expect("recording succeeds").0
+    }
+
+    fn trace(toy: &Toy, input: u64) -> ProgramTrace {
+        trace_at(toy, input, &RunSpec::default())
+    }
+
     #[test]
     fn trace_structure_reflects_host_behaviour() {
         let toy = Toy::new();
-        let even = record_trace(&toy, &2).unwrap();
-        let odd = record_trace(&toy, &3).unwrap();
+        let even = trace(&toy, 2);
+        let odd = trace(&toy, 3);
         assert_eq!(even.invocations.len(), 1);
         assert_eq!(odd.invocations.len(), 2);
         assert_eq!(even.mallocs.len(), 1);
@@ -375,8 +409,8 @@ mod tests {
     #[test]
     fn equal_inputs_equal_traces() {
         let toy = Toy::new();
-        let a = record_trace(&toy, &6).unwrap();
-        let b = record_trace(&toy, &6).unwrap();
+        let a = trace(&toy, 6);
+        let b = trace(&toy, 6);
         assert_eq!(a, b);
         assert_eq!(a.digest(), b.digest());
     }
@@ -384,8 +418,8 @@ mod tests {
     #[test]
     fn different_secrets_different_graphs() {
         let toy = Toy::new();
-        let a = record_trace(&toy, &2).unwrap();
-        let b = record_trace(&toy, &4).unwrap();
+        let a = trace(&toy, 2);
+        let b = trace(&toy, 4);
         // Same kernel sequence, but the table index differs → different
         // address histograms.
         assert_eq!(a.invocations.len(), b.invocations.len());
@@ -395,10 +429,13 @@ mod tests {
     #[test]
     fn recording_is_aslr_invariant() {
         let toy = Toy::new();
-        let plain = record_trace(&toy, &5).unwrap();
-        let mut dev = Device::with_aslr(42);
-        let aslr = record_trace_on(&toy, &5, &mut dev).unwrap();
-        assert_eq!(plain, aslr);
+        let plain = trace(&toy, 5);
+        let aslr = RunSpec {
+            aslr_seed: Some(42),
+            ..RunSpec::default()
+        };
+        assert!(aslr.layout_seed().is_some());
+        assert_eq!(plain, trace_at(&toy, 5, &aslr));
     }
 
     #[test]
@@ -411,9 +448,7 @@ mod tests {
             run_index: 11,
             attempt: 0,
         };
-        let a = record_run(&toy, &5, &spec).unwrap();
-        let b = record_run(&toy, &5, &spec).unwrap();
-        assert_eq!(a, b);
+        assert_eq!(trace_at(&toy, 5, &spec), trace_at(&toy, 5, &spec));
     }
 
     #[test]
@@ -432,8 +467,9 @@ mod tests {
         assert_eq!(counters_a, counters_b);
         assert!(counters_a.instructions > 0);
         assert!(counters_a.mem_accesses > 0);
-        // The plain recorder sees the same trace.
-        assert_eq!(record_run(&toy, &5, &spec).unwrap(), trace_a);
+        // The retrying recorder sees the same trace and counters.
+        let attempt = Recorder::default().record(&toy, &5, &spec);
+        assert_eq!(attempt.result.unwrap(), (trace_a, counters_a));
     }
 
     #[test]
@@ -446,25 +482,50 @@ mod tests {
             run_index: 7,
             attempt: 0,
         };
+        let oracle = Recorder {
+            interpreter: Interpreter::Oracle,
+            ..Recorder::default()
+        };
         for input in [2u64, 5] {
-            let (fast, fast_counters) = record_run_with_interpreter(
-                &toy,
-                &input,
-                &spec,
-                owl_gpu::exec::Interpreter::Lowered,
-            )
-            .unwrap();
-            let (oracle, oracle_counters) = record_run_with_interpreter(
-                &toy,
-                &input,
-                &spec,
-                owl_gpu::exec::Interpreter::Oracle,
-            )
-            .unwrap();
-            assert_eq!(fast, oracle);
-            assert_eq!(fast.digest(), oracle.digest());
-            assert_eq!(fast_counters, oracle_counters);
+            let (fast, fast_counters) = Recorder::default()
+                .record(&toy, &input, &spec)
+                .result
+                .unwrap();
+            let (slow, slow_counters) = oracle.record(&toy, &input, &spec).result.unwrap();
+            assert_eq!(fast, slow);
+            assert_eq!(fast.digest(), slow.digest());
+            assert_eq!(fast_counters, slow_counters);
         }
+    }
+
+    #[test]
+    fn classifier_defaults() {
+        assert!(is_permanent(&DetectError::NoInputs));
+        assert!(!is_permanent(&DetectError::WorkerPanic {
+            message: "x".into()
+        }));
+        assert!(!is_permanent(&DetectError::TraceMismatch {
+            launches: 1,
+            graphs: 0
+        }));
+    }
+
+    #[test]
+    fn governance_failures_are_permanent_but_fuel_stays_transient() {
+        use crate::govern::ResourceKind;
+        assert!(is_permanent(&DetectError::Cancelled));
+        assert!(is_permanent(&DetectError::BudgetExhausted {
+            resource: ResourceKind::MemEvents,
+            used: 2,
+            limit: 1,
+        }));
+        // The injection harness relies on FuelExhausted recovering on retry.
+        assert!(!is_permanent(&DetectError::Host(HostError::Launch(
+            owl_gpu::ExecError::FuelExhausted
+        ))));
+        assert!(!is_permanent(&DetectError::Host(HostError::Launch(
+            owl_gpu::ExecError::Cancelled
+        ))));
     }
 
     #[test]

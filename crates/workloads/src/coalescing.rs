@@ -99,16 +99,21 @@ impl TracedProgram for CoalescingStride {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use owl_core::record_trace;
+    use owl_core::{ProgramTrace, Recorder, RunSpec};
+
+    fn trace_of(w: &CoalescingStride, stride: u64) -> ProgramTrace {
+        let attempt = Recorder::default().record(w, &stride, &RunSpec::default());
+        attempt.result.unwrap().0
+    }
 
     #[test]
     fn aggregate_address_histograms_are_stride_independent() {
         // The core of the blind spot: different secrets, identical
         // aggregated address histograms.
         let w = CoalescingStride::new();
-        let t1 = record_trace(&w, &1).unwrap();
-        let t33 = record_trace(&w, &33).unwrap();
-        let mem = |t: &owl_core::ProgramTrace| {
+        let t1 = trace_of(&w, 1);
+        let t33 = trace_of(&w, 33);
+        let mem = |t: &ProgramTrace| {
             t.invocations[0]
                 .adcfg
                 .nodes
@@ -118,7 +123,7 @@ mod tests {
         };
         assert_eq!(mem(&t1), mem(&t33), "same permutation, same aggregate");
         // But the cost histograms differ — the per-event grouping changed.
-        let cost = |t: &owl_core::ProgramTrace| {
+        let cost = |t: &ProgramTrace| {
             t.invocations[0]
                 .adcfg
                 .nodes
@@ -132,7 +137,7 @@ mod tests {
     #[test]
     fn stride_one_is_fully_coalesced() {
         let w = CoalescingStride::new();
-        let t = record_trace(&w, &1).unwrap();
+        let t = trace_of(&w, 1);
         // The gather instruction: every warp touches 32 consecutive 4-byte
         // words = 4 segments of 32 bytes.
         let g = &t.invocations[0].adcfg;

@@ -249,7 +249,12 @@ impl TracedProgram for RunawaySpin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use owl_core::record_trace;
+    use owl_core::{ProgramTrace, Recorder, RunSpec};
+
+    fn trace_of<P: TracedProgram>(program: &P, input: &P::Input) -> ProgramTrace {
+        let attempt = Recorder::default().record(program, input, &RunSpec::default());
+        attempt.result.unwrap().0
+    }
 
     #[test]
     fn dummy_runs_and_scales_threads() {
@@ -277,7 +282,7 @@ mod tests {
             .map(|elems| {
                 let d = DummySbox::new(elems);
                 let input = d.random_input(7);
-                record_trace(&d, &input).unwrap().size_bytes()
+                trace_of(&d, &input).size_bytes()
             })
             .collect();
         let small_growth = sizes[1] as f64 / sizes[0] as f64;
@@ -292,8 +297,8 @@ mod tests {
     #[test]
     fn noise_dummy_traces_differ_across_runs_with_same_input() {
         let d = NoiseDummy::new();
-        let a = record_trace(&d, &0).unwrap();
-        let b = record_trace(&d, &0).unwrap();
+        let a = trace_of(&d, &0);
+        let b = trace_of(&d, &0);
         assert_ne!(a, b, "per-run nonce must vary the trace");
     }
 }

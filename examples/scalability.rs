@@ -6,7 +6,7 @@
 //! ```
 
 use owl::baselines::record_per_thread;
-use owl::core::record_trace;
+use owl::core::{Recorder, RunSpec};
 use owl::workloads::dummy::DummySbox;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -17,7 +17,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for elems in [64usize, 256, 1024, 4096, 16384, 65536] {
         let program = DummySbox::new(elems);
         let secret = 0x5eed_u64;
-        let owl_bytes = record_trace(&program, &secret)?.size_bytes();
+        let recorded = Recorder::default().record(&program, &secret, &RunSpec::default());
+        let owl_bytes = recorded.result?.0.size_bytes();
         let data_bytes = record_per_thread(&program, &secret)?.size_bytes();
         println!(
             "{elems:>10} {owl_bytes:>16} {data_bytes:>18} {:>8.1}x",

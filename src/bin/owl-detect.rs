@@ -21,17 +21,16 @@
 //!
 //! `--format json` prints the schema-versioned [`DetectionSummary`] on
 //! stdout: a deterministic document, byte-identical for every
-//! `--parallelism` setting (`--json` is kept as an alias). Wall-clock
-//! metrics (phase spans, cost accounting) are non-deterministic and
-//! therefore never on stdout; `--metrics-out PATH` writes them to a
-//! separate JSON file.
+//! `--parallelism` setting. Wall-clock metrics (phase spans, cost
+//! accounting) are non-deterministic and therefore never on stdout;
+//! `--metrics-out PATH` writes them to a separate JSON file.
 //!
 //! `--engine` selects the analysis engine: `ks` (the paper's two-sample
-//! KS test, the default), `tvla` (Welch's t-test, |t| > 4.5; `--welch` is
-//! the deprecated alias), or `mi` (mutual-information quantification in
-//! bits per observation). `--compare-engines` runs all three over the same
-//! evidence and adds the per-location agreement table to the output; the
-//! verdict and exit code still come from the `--engine` selection.
+//! KS test, the default), `tvla` (Welch's t-test, |t| > 4.5), or `mi`
+//! (mutual-information quantification in bits per observation).
+//! `--compare-engines` runs all three over the same evidence and adds the
+//! per-location agreement table to the output; the verdict and exit code
+//! still come from the `--engine` selection.
 //!
 //! Exit codes encode the verdict: 0 = leak-free / no input dependence,
 //! 2 = leaks found, 3 = inconclusive (too many runs quarantined to certify
@@ -210,8 +209,6 @@ fn parse_args() -> Result<Options, String> {
                     .ok_or_else(|| format!("unknown engine {name} (expected ks|tvla|mi)"))?;
             }
             "--compare-engines" => opts.compare_engines = true,
-            // Deprecated alias for --engine tvla.
-            "--welch" => opts.engine = Engine::Tvla,
             "--aslr" => {
                 opts.aslr_seed = Some(
                     args.next()
@@ -287,8 +284,6 @@ fn parse_args() -> Result<Options, String> {
                     _ => return Err("--format needs 'text' or 'json'".into()),
                 };
             }
-            // Back-compat alias for --format json.
-            "--json" => opts.format = OutputFormat::Json,
             "--metrics-out" => {
                 opts.metrics_out = Some(args.next().ok_or("--metrics-out needs a path")?);
             }

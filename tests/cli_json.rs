@@ -214,12 +214,15 @@ fn engine_flag_selects_the_engine_and_keeps_exit_codes() {
 }
 
 #[test]
-fn welch_flag_is_a_deprecated_alias_for_the_tvla_engine() {
+fn welch_flag_is_rejected_as_an_unknown_option() {
+    // `--welch` was the deprecated spelling of `--engine tvla`; it is gone.
     let out = owl_detect(&["dummy", "--runs", "8", "--welch", "--format", "json"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stdout = String::from_utf8(out.stdout).expect("utf8 stdout");
-    let value: serde_json::Value = serde_json::from_str(&stdout).expect("stdout parses as JSON");
-    assert_eq!(get(get(&value, "config"), "engine").as_str(), Some("tvla"));
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).expect("utf8 stderr");
+    assert!(
+        stderr.contains("unknown option --welch"),
+        "stderr: {stderr}"
+    );
 }
 
 #[test]

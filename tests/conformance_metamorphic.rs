@@ -11,8 +11,8 @@
 //! perturbations.
 
 use owl::core::{
-    detect, record_run_with_interpreter, Engine, FaultPlan, FaultyProgram, InjectedFault, LeakKind,
-    OwlConfig, RetryPolicy, RunSpec, TracedProgram, Verdict, STREAM_RND,
+    detect, Engine, FaultPlan, FaultyProgram, InjectedFault, LeakKind, OwlConfig, Recorder,
+    RetryPolicy, RunSpec, TracedProgram, Verdict, STREAM_RND,
 };
 use owl::gpu::build::KernelBuilder;
 use owl::gpu::exec::Interpreter;
@@ -274,7 +274,7 @@ fn binary_engines_agree_on_by_construction_probes() {
 /// data-flow leak, and no flagged feature at all on the clean probe even
 /// when the analysis is forced past the single-class shortcut.
 #[test]
-fn mi_engine_reports_bits_on_leaky_and_none_on_clean() {
+fn mi_engine_quantifies_bits_on_leaky_and_none_on_clean() {
     let leaky_cfg = OwlConfig::builder()
         .runs(RUNS)
         .parallelism(2)
@@ -427,13 +427,19 @@ fn harness_recording_agrees_across_interpreters() {
         run_index: 0,
         attempt: 0,
     };
+    let oracle_recorder = Recorder {
+        interpreter: Interpreter::Oracle,
+        ..Recorder::default()
+    };
     for secret in INPUTS {
-        let (fast, fast_counters) =
-            record_run_with_interpreter(&program, &secret, &spec, Interpreter::Lowered)
-                .expect("lowered recording");
-        let (oracle, oracle_counters) =
-            record_run_with_interpreter(&program, &secret, &spec, Interpreter::Oracle)
-                .expect("oracle recording");
+        let (fast, fast_counters) = Recorder::default()
+            .record(&program, &secret, &spec)
+            .result
+            .expect("lowered recording");
+        let (oracle, oracle_counters) = oracle_recorder
+            .record(&program, &secret, &spec)
+            .result
+            .expect("oracle recording");
         assert_eq!(fast, oracle);
         assert_eq!(fast.digest(), oracle.digest());
         assert_eq!(fast_counters, oracle_counters);

@@ -154,7 +154,9 @@ fn coalescing_only_leak_is_caught_by_cost_feature() {
 fn stress_131k_threads_traces_within_plateau() {
     use owl::workloads::dummy::DummySbox;
     let d = DummySbox::new(131_072);
-    let trace = owl::core::record_trace(&d, &0x5eed).expect("trace");
+    let recorder = owl::core::Recorder::default();
+    let attempt = recorder.record(&d, &0x5eed, &owl::core::RunSpec::default());
+    let (trace, _) = attempt.result.expect("trace");
     // The plateau: every table line already touched, constant structure.
     assert!(
         trace.size_bytes() < 64 * 1024,

@@ -12,7 +12,7 @@
 //! The digests must also be interpreter-independent: the reference oracle
 //! (`owl_gpu::oracle`) has to reproduce them bit for bit.
 
-use owl::core::{record_run_with_interpreter, RunSpec, TracedProgram};
+use owl::core::{Recorder, RunSpec, TracedProgram};
 use owl::gpu::exec::Interpreter;
 use owl::workloads::aes::AesTTable;
 use owl::workloads::histogram::HistogramDirect;
@@ -27,8 +27,14 @@ const SPEC: RunSpec = RunSpec {
 };
 
 fn pinned_digest<P: TracedProgram>(program: &P, input: &P::Input, expected: u64) {
-    let (trace, _) = record_run_with_interpreter(program, input, &SPEC, Interpreter::Lowered)
-        .expect("recording succeeds");
+    let record = |interpreter| {
+        let recorder = Recorder {
+            interpreter,
+            ..Recorder::default()
+        };
+        recorder.record(program, input, &SPEC).result
+    };
+    let (trace, _) = record(Interpreter::Lowered).expect("recording succeeds");
     assert_eq!(
         trace.digest(),
         expected,
@@ -37,8 +43,7 @@ fn pinned_digest<P: TracedProgram>(program: &P, input: &P::Input, expected: u64)
          hashing). If intentional, update the pin in this test.",
         program.name()
     );
-    let (oracle_trace, _) = record_run_with_interpreter(program, input, &SPEC, Interpreter::Oracle)
-        .expect("oracle recording succeeds");
+    let (oracle_trace, _) = record(Interpreter::Oracle).expect("oracle recording succeeds");
     assert_eq!(
         oracle_trace.digest(),
         expected,
