@@ -4,9 +4,13 @@
 //! fault bookkeeping) must not change a single observable byte: the
 //! pretty-printed [`DetectionSummary`] of each case below is pinned to a
 //! checked-in fixture. The cases cover the single-engine path, the
-//! cross-engine comparison path, and the two quarantine paths the CLI's
+//! cross-engine comparison path, the two quarantine paths the CLI's
 //! `--inject quarantine` and `--inject budget` scenarios take (fault
-//! counters and the fault log included). Regenerate with
+//! counters and the fault log included), and the control-flow and kernel
+//! leak paths of the analysis walk: square-and-multiply RSA (control
+//! flow), early-exit binary search (control and data flow), the
+//! hidden-width MLP (allocation and launch-geometry kernel leaks) and
+//! tensor printing (unaligned invocations). Regenerate with
 //!
 //! ```sh
 //! OWL_REGEN_GOLDEN=1 cargo test --test golden_summary
@@ -21,6 +25,11 @@ use owl::core::{
 };
 use owl::workloads::aes::AesTTable;
 use owl::workloads::dummy::DummySbox;
+use owl::workloads::mlp::{MlpHiddenWidth, WIDTHS};
+use owl::workloads::rsa::RsaSquareMultiply;
+use owl::workloads::search::BinarySearchEarlyExit;
+use owl::workloads::torch::function::VEC_N;
+use owl::workloads::torch::{Tensor, TorchFunction, TorchInput, TorchOpKind};
 
 /// One pinned detection: its fixture file and the summary it produces.
 struct Case {
@@ -28,7 +37,7 @@ struct Case {
     summary: fn() -> String,
 }
 
-const CASES: [Case; 4] = [
+const CASES: [Case; 8] = [
     Case {
         fixture: "aes_ttable_summary.json",
         summary: || aes_ttable(aes_config().build()),
@@ -57,7 +66,51 @@ const CASES: [Case; 4] = [
             ))
         },
     },
+    Case {
+        fixture: "rsa_square_multiply_compare_engines_summary.json",
+        summary: || {
+            // `owl-detect rsa-sqm --compare-engines`.
+            let rsa = RsaSquareMultiply::new(32);
+            let exps = [0x8000_0001u64, 0xffff_ffff, 0x0f0f_0f0f, 3];
+            summary_json("rsa-sqm", &rsa, &exps, &compare_config())
+        },
+    },
+    Case {
+        fixture: "search_compare_engines_summary.json",
+        summary: || {
+            // `owl-detect search --compare-engines`.
+            let search = BinarySearchEarlyExit::new(32);
+            let keys: Vec<u64> = (0..5).map(|s| search.random_input(s)).collect();
+            summary_json("search", &search, &keys, &compare_config())
+        },
+    },
+    Case {
+        fixture: "mlp_compare_engines_summary.json",
+        summary: || {
+            // `owl-detect mlp --compare-engines`.
+            summary_json("mlp", &MlpHiddenWidth::new(), &WIDTHS, &compare_config())
+        },
+    },
+    Case {
+        fixture: "torch_repr_compare_engines_summary.json",
+        summary: || {
+            // `owl-detect torch:repr --compare-engines`.
+            let repr = TorchFunction::new(TorchOpKind::TensorRepr);
+            let mut inputs: Vec<TorchInput> = (0..4).map(|s| repr.random_input(7000 + s)).collect();
+            inputs.push(TorchInput::Tensor(Tensor::zeros([VEC_N])));
+            summary_json("torch:repr", &repr, &inputs, &compare_config())
+        },
+    },
 ];
+
+/// The CLI's `--compare-engines` detection, shortened to ten runs.
+fn compare_config() -> OwlConfig {
+    OwlConfig::builder()
+        .runs(10)
+        .parallelism(2)
+        .engines_all()
+        .build()
+}
 
 fn aes_config() -> OwlConfigBuilder {
     OwlConfig::builder()
