@@ -3,7 +3,7 @@
 //! The paper applies an LLVM-IR analysis to CUDA kernels and observes "a
 //! substantial number of false positives, where … it erroneously flags
 //! array accesses determined by thread IDs (a common practice in CUDA
-//! programming) … [and] misidentifies control flow leaks as it fails to
+//! programming) … \[and\] misidentifies control flow leaks as it fails to
 //! account for predicate execution". This module reproduces that failure
 //! mode honestly: a flow-insensitive taint analysis over the kernel IR
 //! that treats *any* non-constant address or branch as potentially

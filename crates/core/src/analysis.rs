@@ -18,13 +18,13 @@
 //! attributed to non-deterministic execution noise and *not* reported —
 //! this is the paper's false-positive defence.
 
-use crate::engine::{AnalysisEngine, Engine};
+use crate::engine::Engine;
 use crate::evidence::Evidence;
 use crate::report::{Leak, LeakKind, LeakLocation, LeakReport};
 use owl_dcfg::diff::{myers_align, AlignOp};
 use owl_stats::mi::class_mi_bits;
-use owl_stats::{EngineOutcome, Histogram, WeightedSamples};
-use std::collections::BTreeSet;
+use owl_stats::{Histogram, WeightedSamples};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Parameters of the analysis phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,12 +45,6 @@ impl Default for AnalysisConfig {
     }
 }
 
-/// The engine's own severity estimate when it quantifies, otherwise an
-/// independent MI estimate — computed lazily, only for rejected features.
-fn severity_bits(out: &EngineOutcome, fs: &WeightedSamples, rs: &WeightedSamples) -> f64 {
-    out.bits.unwrap_or_else(|| class_mi_bits(fs, rs))
-}
-
 /// A structural (non-statistical) leak: maximal deviation by construction.
 fn structural(kind: LeakKind, location: LeakLocation, detail: String) -> Leak {
     Leak {
@@ -65,63 +59,33 @@ fn structural(kind: LeakKind, location: LeakLocation, detail: String) -> Leak {
 
 /// Runs the full leakage test of §VII-C.
 pub fn leakage_test(fix: &Evidence, rnd: &Evidence, config: &AnalysisConfig) -> LeakReport {
-    let engine = config.method.build(config.alpha);
-    let mut report = LeakReport::default();
-
-    test_mallocs(fix, rnd, &mut report);
+    let mut walk = Walk {
+        config,
+        report: LeakReport::default(),
+        held: BTreeMap::new(),
+    };
+    test_mallocs(fix, rnd, &mut walk.report);
 
     // Align the two evidence sequences on invocation keys.
     let fix_keys: Vec<_> = fix.invocations.iter().map(|i| &i.key).collect();
     let rnd_keys: Vec<_> = rnd.invocations.iter().map(|i| &i.key).collect();
-    let ops = myers_align(&fix_keys, &rnd_keys);
-
-    let mut dedup = LeakReport::default();
-    for op in ops {
+    for op in myers_align(&fix_keys, &rnd_keys) {
+        walk.report.tested_invocations += 1;
         match op {
-            AlignOp::DeleteA(i) => {
-                report.tested_invocations += 1;
-                dedup.merge(&LeakReport {
-                    leaks: vec![structural(
-                        LeakKind::Kernel,
-                        LeakLocation::Invocation(fix.invocations[i].key.clone()),
-                        "kernel invoked under fixed inputs but not under random inputs".into(),
-                    )],
-                    ..Default::default()
-                });
-            }
-            AlignOp::InsertB(j) => {
-                report.tested_invocations += 1;
-                dedup.merge(&LeakReport {
-                    leaks: vec![structural(
-                        LeakKind::Kernel,
-                        LeakLocation::Invocation(rnd.invocations[j].key.clone()),
-                        "kernel invoked under random inputs but not under fixed inputs".into(),
-                    )],
-                    ..Default::default()
-                });
-            }
-            AlignOp::Match(i, j) => {
-                report.tested_invocations += 1;
-                let mut partial = LeakReport::default();
-                test_matched_invocation(fix, i, rnd, j, &*engine, &mut partial);
-                report.tested_nodes += partial.tested_nodes;
-                report.tested_instructions += partial.tested_instructions;
-                partial.tested_nodes = 0;
-                partial.tested_instructions = 0;
-                dedup.merge(&partial);
-            }
+            AlignOp::DeleteA(i) => walk.add(structural(
+                LeakKind::Kernel,
+                LeakLocation::Invocation(fix.invocations[i].key.clone()),
+                "kernel invoked under fixed inputs but not under random inputs".into(),
+            )),
+            AlignOp::InsertB(j) => walk.add(structural(
+                LeakKind::Kernel,
+                LeakLocation::Invocation(rnd.invocations[j].key.clone()),
+                "kernel invoked under random inputs but not under fixed inputs".into(),
+            )),
+            AlignOp::Match(i, j) => walk.test_matched_invocation(fix, i, rnd, j),
         }
     }
-    let tested = (
-        report.tested_invocations,
-        report.tested_nodes,
-        report.tested_instructions,
-    );
-    report.merge(&dedup);
-    report.tested_invocations = tested.0;
-    report.tested_nodes = tested.1;
-    report.tested_instructions = tested.2;
-    report
+    walk.report
 }
 
 fn test_mallocs(fix: &Evidence, rnd: &Evidence, report: &mut LeakReport) {
@@ -145,163 +109,163 @@ fn test_mallocs(fix: &Evidence, rnd: &Evidence, report: &mut LeakReport) {
     }
 }
 
-fn test_matched_invocation(
-    fix: &Evidence,
-    i: usize,
-    rnd: &Evidence,
-    j: usize,
-    engine: &dyn AnalysisEngine,
-    report: &mut LeakReport,
-) {
-    let fi = &fix.invocations[i];
-    let rj = &rnd.invocations[j];
-    let key = fi.key.clone();
+/// The walk over the aligned invocations: the engine configuration, and
+/// the report every test adds its leaks to, one leak per location.
+struct Walk<'a> {
+    config: &'a AnalysisConfig,
+    report: LeakReport,
+    /// The report index of the leak held at each location.
+    held: BTreeMap<LeakLocation, usize>,
+}
 
-    // Launch geometry must not depend on the secret.
-    if fi.configs != rj.configs {
-        report.leaks.push(structural(
-            LeakKind::Kernel,
-            LeakLocation::Invocation(key.clone()),
-            "launch geometry differs between fixed and random inputs".into(),
-        ));
+impl Walk<'_> {
+    /// Adds an already-built leak, such as a structural one.
+    fn add(&mut self, leak: Leak) {
+        let location = leak.location.clone();
+        self.report
+            .keep_strongest(&mut self.held, &location, leak.p_value, || leak);
     }
 
-    // Presence distribution (invocation-count differences show up as
-    // presence gaps at aligned positions).
-    let fp = presence_samples(fi.present_runs, fix.runs);
-    let rp = presence_samples(rj.present_runs, rnd.runs);
-    let out = engine.compare(&fp, &rp);
-    if out.rejected {
-        report.leaks.push(Leak {
-            kind: LeakKind::Kernel,
-            location: LeakLocation::Invocation(key.clone()),
-            statistic: out.statistic,
-            p_value: out.p_value,
-            severity_bits: severity_bits(&out, &fp, &rp),
-            detail: format!(
-                "invocation present in {}/{} fixed vs {}/{} random runs",
-                fi.present_runs, fix.runs, rj.present_runs, rnd.runs
-            ),
-        });
-    }
-
-    // Device control-flow test: per node, per eq. (8), the flattened
-    // transition matrix histograms.
-    let nodes: BTreeSet<u32> = fi
-        .adcfg
-        .nodes
-        .keys()
-        .chain(rj.adcfg.nodes.keys())
-        .copied()
-        .collect();
-    for bb in nodes {
-        report.tested_nodes += 1;
-        let fs = node_transition_samples(&fi.adcfg, bb);
-        let rs = node_transition_samples(&rj.adcfg, bb);
-        let out = engine.compare(&fs, &rs);
+    /// Tests one feature: the engine compares its fixed- and random-input
+    /// samples, and a rejection becomes a leak at `location`. The leak's
+    /// severity is the engine's own estimate when it quantifies, otherwise
+    /// an independent MI estimate — computed only for a leak that enters
+    /// the report.
+    fn test(
+        &mut self,
+        kind: LeakKind,
+        location: &LeakLocation,
+        fs: &WeightedSamples,
+        rs: &WeightedSamples,
+        detail: impl FnOnce() -> String,
+    ) {
+        let out = self.config.method.compare(self.config.alpha, fs, rs);
         if out.rejected {
-            report.leaks.push(Leak {
-                kind: LeakKind::ControlFlow,
-                location: LeakLocation::Block(key.clone(), bb),
-                statistic: out.statistic,
-                p_value: out.p_value,
-                severity_bits: severity_bits(&out, &fs, &rs),
-                detail: "control-flow transition distribution differs".into(),
-            });
+            self.report
+                .keep_strongest(&mut self.held, location, out.p_value, || Leak {
+                    kind,
+                    location: location.clone(),
+                    statistic: out.statistic,
+                    p_value: out.p_value,
+                    severity_bits: out.bits.unwrap_or_else(|| class_mi_bits(fs, rs)),
+                    detail: detail(),
+                });
+        }
+    }
+
+    /// Tests one memory instruction's per-visit histograms, pairing visit
+    /// ordinals in access order; the location keeps its strongest
+    /// rejected visit. Surplus ordinals stem from control flow and are
+    /// covered by the transition test.
+    fn test_visits(
+        &mut self,
+        location: &LeakLocation,
+        fix: &[Histogram],
+        rnd: &[Histogram],
+        feature: &str,
+    ) {
+        for (visit, (fh, rh)) in fix.iter().zip(rnd).enumerate() {
+            self.test(
+                LeakKind::DataFlow,
+                location,
+                &fh.to_samples(),
+                &rh.to_samples(),
+                || format!("{feature} distribution differs at visit {visit}"),
+            );
+        }
+    }
+
+    fn test_matched_invocation(&mut self, fix: &Evidence, i: usize, rnd: &Evidence, j: usize) {
+        let fi = &fix.invocations[i];
+        let rj = &rnd.invocations[j];
+        let key = &fi.key;
+        let invocation = LeakLocation::Invocation(key.clone());
+
+        // Launch geometry must not depend on the secret.
+        if fi.configs != rj.configs {
+            self.add(structural(
+                LeakKind::Kernel,
+                invocation.clone(),
+                "launch geometry differs between fixed and random inputs".into(),
+            ));
         }
 
-        // Device data-flow test: per instruction, per visit ordinal.
-        let (fnode, rnode) = (fi.adcfg.node(bb), rj.adcfg.node(bb));
-        let insts: BTreeSet<u32> = fnode
-            .map(|n| n.mem.keys().copied().collect::<BTreeSet<_>>())
-            .unwrap_or_default()
-            .union(
-                &rnode
-                    .map(|n| n.mem.keys().copied().collect())
-                    .unwrap_or_default(),
-            )
+        // Presence distribution (invocation-count differences show up as
+        // presence gaps at aligned positions).
+        self.test(
+            LeakKind::Kernel,
+            &invocation,
+            &presence_samples(fi.present_runs, fix.runs),
+            &presence_samples(rj.present_runs, rnd.runs),
+            || {
+                format!(
+                    "invocation present in {}/{} fixed vs {}/{} random runs",
+                    fi.present_runs, fix.runs, rj.present_runs, rnd.runs
+                )
+            },
+        );
+
+        // Device control-flow test: per node, per eq. (8), the flattened
+        // transition matrix histograms.
+        let nodes: BTreeSet<u32> = fi
+            .adcfg
+            .nodes
+            .keys()
+            .chain(rj.adcfg.nodes.keys())
             .copied()
             .collect();
-        for inst in insts {
-            report.tested_instructions += 1;
-            let fvisits = fnode.and_then(|n| n.mem.get(&inst));
-            let rvisits = rnode.and_then(|n| n.mem.get(&inst));
-            match (fvisits, rvisits) {
-                (Some(fv), Some(rv)) => {
-                    // Pair visit ordinals in access order; surplus ordinals
-                    // stem from control flow and are covered by the
-                    // transition test above.
-                    let mut worst: Option<(f64, f64, f64, u32)> = None;
-                    for (jj, (fh, rh)) in fv.iter().zip(rv.iter()).enumerate() {
-                        let (fs, rs) = (fh.to_samples(), rh.to_samples());
-                        let out = engine.compare(&fs, &rs);
-                        if out.rejected && worst.map(|(_, p, _, _)| out.p_value < p).unwrap_or(true)
-                        {
-                            worst = Some((
-                                out.statistic,
-                                out.p_value,
-                                severity_bits(&out, &fs, &rs),
-                                jj as u32,
-                            ));
+        for bb in nodes {
+            self.report.tested_nodes += 1;
+            self.test(
+                LeakKind::ControlFlow,
+                &LeakLocation::Block(key.clone(), bb),
+                &node_transition_samples(&fi.adcfg, bb),
+                &node_transition_samples(&rj.adcfg, bb),
+                || "control-flow transition distribution differs".into(),
+            );
+
+            // Device data-flow test: per instruction, per visit ordinal.
+            let (fnode, rnode) = (fi.adcfg.node(bb), rj.adcfg.node(bb));
+            let insts: BTreeSet<u32> = fnode
+                .map(|n| n.mem.keys().copied().collect::<BTreeSet<_>>())
+                .unwrap_or_default()
+                .union(
+                    &rnode
+                        .map(|n| n.mem.keys().copied().collect())
+                        .unwrap_or_default(),
+                )
+                .copied()
+                .collect();
+            for inst in insts {
+                self.report.tested_instructions += 1;
+                let location = LeakLocation::Instruction(key.clone(), bb, inst);
+                let fvisits = fnode.and_then(|n| n.mem.get(&inst));
+                let rvisits = rnode.and_then(|n| n.mem.get(&inst));
+                match (fvisits, rvisits) {
+                    (Some(fv), Some(rv)) => {
+                        self.test_visits(&location, fv, rv, "address");
+                        // The per-warp access-cost feature (coalesced
+                        // transactions / bank conflicts): warp aggregation
+                        // of addresses can hide per-event grouping that
+                        // this catches.
+                        let fcost = fnode.and_then(|n| n.cost.get(&inst));
+                        let rcost = rnode.and_then(|n| n.cost.get(&inst));
+                        if let (Some(fc), Some(rc)) = (fcost, rcost) {
+                            self.test_visits(&location, fc, rc, "memory transaction cost");
                         }
                     }
-                    if let Some((d, p, bits, jj)) = worst {
-                        report.leaks.push(Leak {
-                            kind: LeakKind::DataFlow,
-                            location: LeakLocation::Instruction(key.clone(), bb, inst),
-                            statistic: d,
-                            p_value: p,
-                            severity_bits: bits,
-                            detail: format!("address distribution differs at visit {jj}"),
-                        });
+                    (Some(_), None) | (None, Some(_)) => {
+                        // The access executed only under one input class —
+                        // with identical control flow this is predication,
+                        // a data-dependent access pattern.
+                        self.add(structural(
+                            LeakKind::DataFlow,
+                            location,
+                            "memory access executes only under one input class".into(),
+                        ));
                     }
-                    // The per-warp access-cost feature (coalesced
-                    // transactions / bank conflicts): warp aggregation of
-                    // addresses can hide per-event grouping that this
-                    // catches.
-                    let fcost = fnode.and_then(|n| n.cost.get(&inst));
-                    let rcost = rnode.and_then(|n| n.cost.get(&inst));
-                    if let (Some(fc), Some(rc)) = (fcost, rcost) {
-                        let mut worst: Option<(f64, f64, f64, u32)> = None;
-                        for (jj, (fh, rh)) in fc.iter().zip(rc.iter()).enumerate() {
-                            let (fs, rs) = (fh.to_samples(), rh.to_samples());
-                            let out = engine.compare(&fs, &rs);
-                            if out.rejected
-                                && worst.map(|(_, p, _, _)| out.p_value < p).unwrap_or(true)
-                            {
-                                worst = Some((
-                                    out.statistic,
-                                    out.p_value,
-                                    severity_bits(&out, &fs, &rs),
-                                    jj as u32,
-                                ));
-                            }
-                        }
-                        if let Some((d, p, bits, jj)) = worst {
-                            report.leaks.push(Leak {
-                                kind: LeakKind::DataFlow,
-                                location: LeakLocation::Instruction(key.clone(), bb, inst),
-                                statistic: d,
-                                p_value: p,
-                                severity_bits: bits,
-                                detail: format!(
-                                    "memory transaction cost distribution differs at visit {jj}"
-                                ),
-                            });
-                        }
-                    }
+                    (None, None) => {}
                 }
-                (Some(_), None) | (None, Some(_)) => {
-                    // The access executed only under one input class —
-                    // with identical control flow this is predication, a
-                    // data-dependent access pattern.
-                    report.leaks.push(structural(
-                        LeakKind::DataFlow,
-                        LeakLocation::Instruction(key.clone(), bb, inst),
-                        "memory access executes only under one input class".into(),
-                    ));
-                }
-                (None, None) => {}
             }
         }
     }

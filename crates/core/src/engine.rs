@@ -1,51 +1,78 @@
-//! Pluggable analysis engines (DESIGN.md §3.15).
+//! The analysis engines (DESIGN.md §3.15).
 //!
 //! Phase 3 decides, feature by feature, whether a distribution observed
 //! under fixed inputs differs from the one observed under random inputs.
-//! That per-feature decision point is the [`AnalysisEngine`] trait; the
-//! analysis walk in [`crate::analysis`] is engine-agnostic and the choice
-//! of statistics is a configuration knob:
+//! [`Engine::compare`] makes that decision for every feature the analysis
+//! walk in [`crate::analysis`] tests; the configured [`Engine`] picks the
+//! statistic:
 //!
-//! * [`KsEngine`] — the paper's two-sample Kolmogorov–Smirnov test
+//! * [`Engine::Ks`] — the paper's two-sample Kolmogorov–Smirnov test
 //!   (§VII-B, eqs. (1)–(4)). The default; no normality assumption.
-//! * [`TvlaEngine`] — fixed-vs-random TVLA: Welch's t-test with the
+//! * [`Engine::Tvla`] — fixed-vs-random TVLA: Welch's t-test with the
 //!   conventional `|t| > 4.5` decision threshold, as used by prior CPU
 //!   side-channel work (TVLA, dudect). Mean-blind: misses equal-mean
 //!   distribution changes, which is the paper's motivation for KS.
-//! * [`MiEngine`] — MicroWalk-style leakage *quantification*: the mutual
+//! * [`Engine::Mi`] — MicroWalk-style leakage *quantification*: the mutual
 //!   information between the input class and the feature, in bits per
 //!   observation. Reports *how much* leaks, not just whether.
 //!
-//! Engines are pure functions of their two [`WeightedSamples`] arguments —
-//! no interior state, no randomness — so detection keeps the determinism
-//! contract (bit-identical results for every `parallelism`) independently
-//! of the engine choice. The [`EngineComparison`] table cross-checks all
-//! engines' verdicts per leak location, DifFuzz-style: agreement raises
-//! confidence, disagreement localises the cases one method is blind to.
+//! Every engine is a pure function of its two [`WeightedSamples`]
+//! arguments — no interior state, no randomness — so detection keeps the
+//! determinism contract (bit-identical results for every `parallelism`)
+//! independently of the engine choice. The [`EngineComparison`] table
+//! cross-checks all engines' verdicts per leak location, DifFuzz-style:
+//! agreement raises confidence, disagreement localises the cases one method
+//! is blind to.
 
 use crate::report::{Leak, LeakKind, LeakLocation, LeakReport};
 use owl_stats::ks::ks_two_sample;
 use owl_stats::mi::class_mi_bits;
 use owl_stats::welch::welch_t_test;
-use owl_stats::{EngineOutcome, WeightedSamples};
-use serde::Serialize;
+use owl_stats::WeightedSamples;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The selectable analysis engines.
-///
-/// `Engine` is the *configuration name* of an engine; [`Engine::build`]
-/// instantiates the corresponding [`AnalysisEngine`] with the detection's
-/// parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Two-sample KS test (the paper's choice, the default).
+    /// The paper's two-sample Kolmogorov–Smirnov test (§VII-B), the
+    /// default.
+    ///
+    /// Claims: detects *any* distribution difference given enough samples,
+    /// no normality assumption. Does not claim: a leakage magnitude — its
+    /// statistic is a distance, not an information measure.
     #[default]
     Ks,
-    /// Fixed-vs-random TVLA: Welch's t-test, `|t| > 4.5`.
+    /// Fixed-vs-random TVLA: Welch's t-test with the `|t| >`
+    /// [`TVLA_THRESHOLD`] convention.
+    ///
+    /// Claims: the prior-work baseline (TVLA, dudect), sensitive to mean
+    /// shifts with a battle-tested false-positive threshold. Does not
+    /// claim: sensitivity to equal-mean distribution changes (bimodal vs
+    /// unimodal features pass unnoticed) — the ablation case that motivates
+    /// KS.
     Tvla,
-    /// Mutual-information leakage quantification (bits per observation).
+    /// MicroWalk-style mutual-information quantification, in bits per
+    /// observation.
+    ///
+    /// Claims: an *amount* — the estimated bits an attacker learns about
+    /// the input class from one observation of the feature (per A-DCFG node
+    /// for control flow, per instruction for data flow), 0 for identical
+    /// distributions, 1 for disjoint supports. Does not claim: calibrated
+    /// false-positive control on noisy features — the empirical estimate is
+    /// biased upward for small samples (disjoint-by-chance supports read as
+    /// a full bit), which is why the engine refuses to *decide* below
+    /// [`MI_MIN_WEIGHT`] and why KS remains the default detector.
     Mi,
 }
+
+/// The conventional TVLA decision threshold on `|t|`.
+pub const TVLA_THRESHOLD: f64 = 4.5;
+/// Decision threshold of the MI engine, in bits per observation.
+pub const MI_THRESHOLD_BITS: f64 = 0.2;
+/// Small-sample guard of the MI engine: both sides need at least this much
+/// total weight before the engine rejects.
+pub const MI_MIN_WEIGHT: u64 = 8;
 
 impl Engine {
     /// Every engine, in the canonical comparison order.
@@ -71,190 +98,129 @@ impl Engine {
         }
     }
 
-    /// Instantiates the engine with the analysis confidence level `alpha`
-    /// (only the KS engine consumes it; TVLA and MI use their conventional
-    /// fixed thresholds).
-    pub fn build(self, alpha: f64) -> Box<dyn AnalysisEngine> {
+    /// Compares one feature's sample sets merged from the fixed-input
+    /// evidence (`fix`) and the random-input evidence (`rnd`), and decides
+    /// whether the distributions differ in an input-dependent way.
+    ///
+    /// `alpha` is the KS confidence level; TVLA and MI decide on their
+    /// fixed thresholds ([`TVLA_THRESHOLD`], [`MI_THRESHOLD_BITS`] and
+    /// [`MI_MIN_WEIGHT`]).
+    ///
+    /// The outcome is a function of the two sample multisets alone — no
+    /// state, clocks or randomness — and therefore independent of merge
+    /// order: [`WeightedSamples`] assembled by any sequence of associative
+    /// evidence merges are equal as multisets, so the outcome is
+    /// bit-identical however the evidence was chunked. Every engine keeps
+    /// the [`EngineOutcome`] invariants.
+    pub fn compare(
+        self,
+        alpha: f64,
+        fix: &WeightedSamples,
+        rnd: &WeightedSamples,
+    ) -> EngineOutcome {
         match self {
-            Engine::Ks => Box::new(KsEngine { alpha }),
-            Engine::Tvla => Box::new(TvlaEngine::default()),
-            Engine::Mi => Box::new(MiEngine::default()),
-        }
-    }
-}
-
-/// The per-feature decision point of the leakage analysis.
-///
-/// `compare` receives the feature's weighted sample sets merged from the
-/// fixed-input evidence (`fix`) and the random-input evidence (`rnd`) and
-/// decides whether the distributions differ in an input-dependent way.
-///
-/// # Contract
-///
-/// Implementations must be **pure** (the outcome is a function of the two
-/// sample multisets alone — no interior state, clocks, or randomness) and
-/// therefore **merge-order independent**: because [`WeightedSamples`]
-/// assembled by any sequence of associative evidence merges are equal as
-/// multisets, `compare` returns bit-identical outcomes however the
-/// evidence was chunked. This is what extends the PR-1 determinism
-/// contract to every engine. Implementations must also honour the
-/// [`EngineOutcome`] invariants (`p_value` ranks evidence strength;
-/// one-sided presence is a structural rejection).
-pub trait AnalysisEngine {
-    /// The engine's stable machine-readable name.
-    fn name(&self) -> &'static str;
-
-    /// Compares the fixed-input and random-input sample sets of one
-    /// feature.
-    fn compare(&self, fix: &WeightedSamples, rnd: &WeightedSamples) -> EngineOutcome;
-}
-
-/// The paper's two-sample Kolmogorov–Smirnov engine (§VII-B).
-///
-/// Claims: detects *any* distribution difference given enough samples, no
-/// normality assumption. Does not claim: a leakage magnitude — its
-/// statistic is a distance, not an information measure.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KsEngine {
-    /// Confidence level of the test (the paper uses 0.95).
-    pub alpha: f64,
-}
-
-impl Default for KsEngine {
-    fn default() -> Self {
-        KsEngine { alpha: 0.95 }
-    }
-}
-
-impl AnalysisEngine for KsEngine {
-    fn name(&self) -> &'static str {
-        Engine::Ks.name()
-    }
-
-    fn compare(&self, fix: &WeightedSamples, rnd: &WeightedSamples) -> EngineOutcome {
-        let out = ks_two_sample(fix, rnd, self.alpha);
-        EngineOutcome {
-            rejected: out.rejected,
-            statistic: out.statistic,
-            p_value: out.p_value,
-            bits: None,
-        }
-    }
-}
-
-/// Fixed-vs-random TVLA: Welch's t-test with the `|t| > 4.5` convention.
-///
-/// Claims: the prior-work baseline (TVLA, dudect), sensitive to mean
-/// shifts with a battle-tested false-positive threshold. Does not claim:
-/// sensitivity to equal-mean distribution changes (bimodal vs unimodal
-/// features pass unnoticed) — the ablation case that motivates KS.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TvlaEngine {
-    /// Decision threshold on `|t|` (the TVLA convention is 4.5).
-    pub threshold: f64,
-}
-
-impl Default for TvlaEngine {
-    fn default() -> Self {
-        TvlaEngine {
-            threshold: TVLA_THRESHOLD,
-        }
-    }
-}
-
-/// The conventional TVLA decision threshold on `|t|`.
-pub const TVLA_THRESHOLD: f64 = 4.5;
-
-impl AnalysisEngine for TvlaEngine {
-    fn name(&self) -> &'static str {
-        Engine::Tvla.name()
-    }
-
-    fn compare(&self, fix: &WeightedSamples, rnd: &WeightedSamples) -> EngineOutcome {
-        // Present-vs-absent features are structural differences under any
-        // method; the t-test itself needs two non-empty sides.
-        match (fix.is_empty(), rnd.is_empty()) {
-            (true, true) => return EngineOutcome::accept(),
-            (true, false) | (false, true) => {
-                return EngineOutcome {
+            Engine::Ks => {
+                let out = ks_two_sample(fix, rnd, alpha);
+                EngineOutcome {
+                    rejected: out.rejected,
+                    statistic: out.statistic,
+                    p_value: out.p_value,
+                    bits: None,
+                }
+            }
+            // Present-vs-absent features are structural differences under
+            // any method; the t-test itself needs two non-empty sides.
+            Engine::Tvla => match (fix.is_empty(), rnd.is_empty()) {
+                (true, true) => EngineOutcome::accept(),
+                (true, false) | (false, true) => EngineOutcome {
                     bits: None,
                     ..EngineOutcome::structural(f64::INFINITY)
+                },
+                (false, false) => {
+                    let out = welch_t_test(fix, rnd, TVLA_THRESHOLD);
+                    EngineOutcome {
+                        rejected: out.rejected,
+                        statistic: out.statistic.abs(),
+                        p_value: out.approx_p_value(),
+                        bits: None,
+                    }
                 }
-            }
-            (false, false) => {}
+            },
+            Engine::Mi => match (fix.is_empty(), rnd.is_empty()) {
+                (true, true) => EngineOutcome {
+                    bits: Some(0.0),
+                    ..EngineOutcome::accept()
+                },
+                // Present under exactly one input class: one observation
+                // pins the class — the full bit, structurally.
+                (true, false) | (false, true) => EngineOutcome::structural(1.0),
+                (false, false) => {
+                    let bits = class_mi_bits(fix, rnd);
+                    let enough =
+                        fix.total_weight() >= MI_MIN_WEIGHT && rnd.total_weight() >= MI_MIN_WEIGHT;
+                    EngineOutcome {
+                        rejected: enough && bits > MI_THRESHOLD_BITS,
+                        statistic: bits,
+                        // MI has no p-value; 1 − bits is a monotone
+                        // surrogate that ranks consistently with the
+                        // structural convention (1 bit ⇒ p = 0).
+                        p_value: (1.0 - bits).clamp(0.0, 1.0),
+                        bits: Some(bits),
+                    }
+                }
+            },
         }
-        let out = welch_t_test(fix, rnd, self.threshold);
+    }
+}
+
+/// The engine-agnostic outcome of one fixed-vs-random feature comparison:
+/// a binary verdict plus comparable ranking values, so the analysis walk
+/// and the leak reports stay engine-agnostic.
+///
+/// Invariants every engine maintains:
+///
+/// * `p_value` ranks evidence strength monotonically — stronger evidence of
+///   input dependence means a *smaller* value. Engines without an exact
+///   p-value (the MI engine) supply a comparable surrogate.
+/// * Structural differences (a feature present under only one input class)
+///   come back as `statistic = 1.0` (or `∞` for the t-test), `p_value =
+///   0.0`, `rejected = true`.
+/// * `bits`, when present, is the engine's own estimate of the leakage in
+///   bits per observation; engines that only decide (KS, TVLA) leave it
+///   `None` and let the caller attach an independent severity estimate.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct EngineOutcome {
+    /// Whether the feature was judged input-dependent.
+    pub rejected: bool,
+    /// The engine's raw statistic: the KS `D`, the absolute Welch `t`, or
+    /// the estimated mutual information in bits.
+    pub statistic: f64,
+    /// Evidence-strength ranking value in `[0, 1]`; smaller = stronger.
+    pub p_value: f64,
+    /// The engine's own leakage estimate in bits per observation, when the
+    /// engine quantifies (`None` for purely binary engines).
+    pub bits: Option<f64>,
+}
+
+impl EngineOutcome {
+    /// The strongest possible non-rejection: no evidence of a difference.
+    pub fn accept() -> Self {
         EngineOutcome {
-            rejected: out.rejected,
-            statistic: out.statistic.abs(),
-            p_value: out.approx_p_value(),
+            rejected: false,
+            statistic: 0.0,
+            p_value: 1.0,
             bits: None,
         }
     }
-}
 
-/// MicroWalk-style mutual-information quantification engine.
-///
-/// Claims: an *amount* — the estimated bits an attacker learns about the
-/// input class from one observation of the feature (per A-DCFG node for
-/// control flow, per instruction for data flow), 0 for identical
-/// distributions, 1 for disjoint supports. Does not claim: calibrated
-/// false-positive control on noisy features — the empirical estimate is
-/// biased upward for small samples (disjoint-by-chance supports read as a
-/// full bit), which is why the engine refuses to *decide* below
-/// [`MiEngine::min_weight`] and why KS remains the default detector.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MiEngine {
-    /// Bits above which a feature is flagged as input-dependent.
-    pub threshold_bits: f64,
-    /// Minimum total weight required on both sides before the engine is
-    /// willing to reject (small-sample bias guard).
-    pub min_weight: u64,
-}
-
-impl Default for MiEngine {
-    fn default() -> Self {
-        MiEngine {
-            threshold_bits: MI_THRESHOLD_BITS,
-            min_weight: MI_MIN_WEIGHT,
-        }
-    }
-}
-
-/// Default decision threshold of the MI engine, in bits per observation.
-pub const MI_THRESHOLD_BITS: f64 = 0.2;
-/// Default small-sample guard of the MI engine: both sides need at least
-/// this much total weight before the engine rejects.
-pub const MI_MIN_WEIGHT: u64 = 8;
-
-impl AnalysisEngine for MiEngine {
-    fn name(&self) -> &'static str {
-        Engine::Mi.name()
-    }
-
-    fn compare(&self, fix: &WeightedSamples, rnd: &WeightedSamples) -> EngineOutcome {
-        match (fix.is_empty(), rnd.is_empty()) {
-            (true, true) => {
-                return EngineOutcome {
-                    bits: Some(0.0),
-                    ..EngineOutcome::accept()
-                }
-            }
-            // Present under exactly one input class: one observation pins
-            // the class — the full bit, structurally.
-            (true, false) | (false, true) => return EngineOutcome::structural(1.0),
-            (false, false) => {}
-        }
-        let bits = class_mi_bits(fix, rnd);
-        let enough = fix.total_weight() >= self.min_weight && rnd.total_weight() >= self.min_weight;
+    /// A maximal structural rejection (feature present under exactly one
+    /// input class): one observation pins the class.
+    pub fn structural(statistic: f64) -> Self {
         EngineOutcome {
-            rejected: enough && bits > self.threshold_bits,
-            statistic: bits,
-            // MI has no p-value; 1 − bits is a monotone surrogate that
-            // ranks consistently with the structural convention (1 bit ⇒
-            // p = 0).
-            p_value: (1.0 - bits).clamp(0.0, 1.0),
-            bits: Some(bits),
+            rejected: true,
+            statistic,
+            p_value: 0.0,
+            bits: Some(1.0),
         }
     }
 }
@@ -385,6 +351,8 @@ mod tests {
     use crate::trace::InvocationKey;
     use owl_host::CallSite;
 
+    const ALPHA: f64 = 0.95;
+
     fn samples(values: impl IntoIterator<Item = f64>) -> WeightedSamples {
         WeightedSamples::from_values(values)
     }
@@ -393,7 +361,6 @@ mod tests {
     fn engine_names_round_trip() {
         for engine in Engine::ALL {
             assert_eq!(Engine::from_name(engine.name()), Some(engine));
-            assert_eq!(engine.build(0.95).name(), engine.name());
         }
         assert_eq!(Engine::from_name("welch"), None);
         assert_eq!(Engine::from_name("anova"), None);
@@ -403,8 +370,8 @@ mod tests {
     fn ks_engine_matches_raw_ks_test() {
         let fix = samples((0..50).map(f64::from));
         let rnd = samples((0..50).map(|v| f64::from(v) + 100.0));
-        let out = KsEngine { alpha: 0.95 }.compare(&fix, &rnd);
-        let raw = ks_two_sample(&fix, &rnd, 0.95);
+        let out = Engine::Ks.compare(ALPHA, &fix, &rnd);
+        let raw = ks_two_sample(&fix, &rnd, ALPHA);
         assert_eq!(out.rejected, raw.rejected);
         assert_eq!(out.statistic.to_bits(), raw.statistic.to_bits());
         assert_eq!(out.p_value.to_bits(), raw.p_value.to_bits());
@@ -413,45 +380,45 @@ mod tests {
 
     #[test]
     fn tvla_engine_applies_the_4_5_convention() {
-        let engine = TvlaEngine::default();
+        let engine = Engine::Tvla;
         let fix = samples((0..100).map(f64::from));
         let shifted = samples((0..100).map(|v| f64::from(v) + 60.0));
-        assert!(engine.compare(&fix, &shifted).rejected);
-        assert!(!engine.compare(&fix, &fix).rejected);
+        assert!(engine.compare(ALPHA, &fix, &shifted).rejected);
+        assert!(!engine.compare(ALPHA, &fix, &fix).rejected);
         // The motivating blind spot: equal-mean bimodal vs unimodal.
         let bimodal =
             WeightedSamples::from_pairs((0..200).map(|i| (if i % 2 == 0 { 0.0 } else { 10.0 }, 1)));
         let unimodal = WeightedSamples::from_pairs([(5.0, 200)]);
-        assert!(!engine.compare(&bimodal, &unimodal).rejected);
-        assert!(KsEngine::default().compare(&bimodal, &unimodal).rejected);
+        assert!(!engine.compare(ALPHA, &bimodal, &unimodal).rejected);
+        assert!(Engine::Ks.compare(ALPHA, &bimodal, &unimodal).rejected);
     }
 
     #[test]
     fn tvla_engine_treats_one_sided_presence_as_structural() {
-        let engine = TvlaEngine::default();
+        let engine = Engine::Tvla;
         let present = samples([1.0, 2.0, 3.0]);
-        let out = engine.compare(&present, &WeightedSamples::new());
+        let out = engine.compare(ALPHA, &present, &WeightedSamples::new());
         assert!(out.rejected);
         assert_eq!(out.p_value, 0.0);
         assert!(out.statistic.is_infinite());
         assert!(
             !engine
-                .compare(&WeightedSamples::new(), &WeightedSamples::new())
+                .compare(ALPHA, &WeightedSamples::new(), &WeightedSamples::new())
                 .rejected
         );
     }
 
     #[test]
     fn mi_engine_quantifies_and_guards_small_samples() {
-        let engine = MiEngine::default();
+        let engine = Engine::Mi;
         // Identical distributions: 0 bits, never flagged.
         let fix = WeightedSamples::from_pairs([(0.0, 20)]);
-        let same = engine.compare(&fix, &fix);
+        let same = engine.compare(ALPHA, &fix, &fix);
         assert!(!same.rejected);
         assert_eq!(same.bits, Some(0.0));
         // Disjoint supports with enough weight: the full bit, flagged.
         let rnd = WeightedSamples::from_pairs([(1.0, 10), (2.0, 10)]);
-        let leak = engine.compare(&fix, &rnd);
+        let leak = engine.compare(ALPHA, &fix, &rnd);
         assert!(leak.rejected);
         assert!((leak.bits.unwrap() - 1.0).abs() < 1e-12);
         assert_eq!(leak.p_value, 0.0);
@@ -459,9 +426,38 @@ mod tests {
         // not flagged — too few observations to trust the estimate.
         let tiny_fix = WeightedSamples::from_pairs([(0.0, 2)]);
         let tiny_rnd = WeightedSamples::from_pairs([(1.0, 2)]);
-        let tiny = engine.compare(&tiny_fix, &tiny_rnd);
+        let tiny = engine.compare(ALPHA, &tiny_fix, &tiny_rnd);
         assert!(!tiny.rejected);
         assert!(tiny.bits.unwrap() > 0.9);
+    }
+
+    #[test]
+    fn accept_is_weakest_evidence() {
+        let a = EngineOutcome::accept();
+        assert!(!a.rejected);
+        assert_eq!(a.p_value, 1.0);
+        assert_eq!(a.bits, None);
+    }
+
+    #[test]
+    fn structural_is_strongest_evidence() {
+        let s = EngineOutcome::structural(1.0);
+        assert!(s.rejected);
+        assert_eq!(s.p_value, 0.0);
+        assert_eq!(s.bits, Some(1.0));
+    }
+
+    #[test]
+    fn outcome_serde_round_trips() {
+        let out = EngineOutcome {
+            rejected: true,
+            statistic: 0.5,
+            p_value: 0.01,
+            bits: Some(0.25),
+        };
+        let json = serde_json::to_string(&out).expect("serialize");
+        let back: EngineOutcome = serde_json::from_str(&json).expect("deserialize");
+        assert_eq!(out, back);
     }
 
     fn key(kernel: &str) -> InvocationKey {

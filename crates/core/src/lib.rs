@@ -15,9 +15,10 @@
 //!    input dependence.
 //! 3. **Leakage analysis** ([`analysis`]): repeated fixed-input and
 //!    random-input executions are merged into evidence ([`evidence`]) and
-//!    compared feature-by-feature by a pluggable [`engine`] (the paper's
-//!    two-sample KS test by default; TVLA and mutual-information engines
-//!    are selectable, and a comparison mode cross-checks all three);
+//!    compared feature-by-feature by the configured [`engine`] (the
+//!    paper's two-sample KS test by default; TVLA and mutual-information
+//!    engines are selectable, and a comparison mode cross-checks all
+//!    three);
 //!    failures are located as kernel, device control-flow, or device
 //!    data-flow leaks ([`report`]).
 //!
@@ -95,10 +96,7 @@ pub mod trace;
 pub mod tracer;
 
 pub use analysis::{leakage_test, AnalysisConfig};
-pub use engine::{
-    AnalysisEngine, Engine, EngineComparison, EngineRow, EngineVerdict, KsEngine, MiEngine,
-    TvlaEngine,
-};
+pub use engine::{Engine, EngineComparison, EngineOutcome, EngineRow, EngineVerdict};
 pub use error::{DetectError, DetectPhase, RunContext};
 pub use evidence::Evidence;
 pub use fault::{FaultLog, FaultRecord, RetryPolicy, RunAttempt};
@@ -112,7 +110,6 @@ pub use owl::{
 pub use owl_metrics::{
     FaultCounters, PhaseFaultCounters, PhaseSpan, SimCounters, Spans, SCHEMA_VERSION,
 };
-pub use owl_stats::EngineOutcome;
 pub use program::TracedProgram;
 pub use record::{record_run_metered, Recorder, RunSpec};
 pub use report::{Leak, LeakKind, LeakLocation, LeakReport};

@@ -113,16 +113,19 @@ impl OwlConfig {
     }
 
     /// The effective per-set quorum: [`OwlConfig::min_runs_per_set`], or
-    /// half the configured runs (at least 2), capped at `runs`.
+    /// half the configured runs (at least 2), capped at `runs` — and never
+    /// below 1, so an empty evidence set is never tested.
     pub fn quorum(&self) -> usize {
         self.min_runs_per_set
             .unwrap_or((self.runs / 2).max(2))
             .min(self.runs)
+            .max(1)
     }
 
     /// Rejects configurations that cannot produce a meaningful detection —
-    /// zero runs, a quorum no run count can satisfy, a zero-attempt retry
-    /// budget, zero resource budgets, out-of-range alpha or warp size.
+    /// zero runs, a zero quorum or one no run count can satisfy, a
+    /// zero-attempt retry budget, zero resource budgets, out-of-range alpha
+    /// or warp size.
     ///
     /// `detect` does not call this: the detector's own clamping keeps every
     /// config *safe* (it cannot crash), but a nonsensical config silently
@@ -150,13 +153,15 @@ impl OwlConfig {
         if self.retry.max_attempts == 0 {
             return Err(ConfigError::ZeroRetryAttempts);
         }
-        if let Some(quorum) = self.min_runs_per_set {
-            if quorum > self.runs {
+        match self.min_runs_per_set {
+            Some(0) => return Err(ConfigError::ZeroQuorum),
+            Some(quorum) if quorum > self.runs => {
                 return Err(ConfigError::QuorumExceedsRuns {
                     quorum,
                     runs: self.runs,
-                });
+                })
             }
+            _ => {}
         }
         if self.budget.max_instructions == 0 {
             return Err(ConfigError::ZeroBudget {
@@ -207,6 +212,9 @@ pub enum ConfigError {
     ZeroParallelism,
     /// `retry.max_attempts == 0`: every run would quarantine untried.
     ZeroRetryAttempts,
+    /// `min_runs_per_set == 0`: an evidence set that lost every run would
+    /// still be tested.
+    ZeroQuorum,
     /// `min_runs_per_set > runs`: the quorum can never be met.
     QuorumExceedsRuns {
         /// The configured quorum.
@@ -240,6 +248,10 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroRetryAttempts => write!(
                 f,
                 "retry budget must allow at least 1 attempt (0 quarantines every run untried)"
+            ),
+            ConfigError::ZeroQuorum => write!(
+                f,
+                "min runs per set must be at least 1 (0 tests evidence sets that lost every run)"
             ),
             ConfigError::QuorumExceedsRuns { quorum, runs } => write!(
                 f,

@@ -62,10 +62,12 @@ pub struct Leak {
     pub kind: LeakKind,
     /// Static location of the leak.
     pub location: LeakLocation,
-    /// The KS statistic of the failing test (1.0 for structural
-    /// differences such as unaligned invocations).
+    /// The configured engine's statistic for the failing test: the KS
+    /// `D`, the absolute Welch `t`, or the MI estimate in bits (1.0 for
+    /// structural differences such as unaligned invocations).
     pub statistic: f64,
-    /// The p-value of the failing test (0.0 for structural differences).
+    /// The engine's p-value for the failing test, or its ranking surrogate
+    /// for MI (0.0 for structural differences).
     pub p_value: f64,
     /// Estimated leakage in bits per observation: the mutual information
     /// between the input class and this feature (1.0 for structural
@@ -118,29 +120,40 @@ impl LeakReport {
     /// paper screens leaks pointing at the same code location; in the
     /// simulator the block id *is* the static location).
     pub fn merge(&mut self, other: &LeakReport) {
-        let mut seen: BTreeMap<LeakLocation, usize> = self
+        let mut held = self
             .leaks
             .iter()
             .enumerate()
             .map(|(i, l)| (l.location.clone(), i))
             .collect();
         for leak in &other.leaks {
-            match seen.get(&leak.location) {
-                Some(&i) => {
-                    // Keep the stronger signal.
-                    if leak.p_value < self.leaks[i].p_value {
-                        self.leaks[i] = leak.clone();
-                    }
-                }
-                None => {
-                    seen.insert(leak.location.clone(), self.leaks.len());
-                    self.leaks.push(leak.clone());
-                }
-            }
+            self.keep_strongest(&mut held, &leak.location, leak.p_value, || leak.clone());
         }
         self.tested_invocations = self.tested_invocations.max(other.tested_invocations);
         self.tested_nodes = self.tested_nodes.max(other.tested_nodes);
         self.tested_instructions = self.tested_instructions.max(other.tested_instructions);
+    }
+
+    /// Adds the leak `make` builds at `location`, keeping one leak per
+    /// location: the first with the smallest p-value. A weaker leak held
+    /// there is replaced in place; an equal or stronger one stays, and
+    /// `make` is not called. `held` maps each location to its leak's index
+    /// in [`LeakReport::leaks`].
+    pub(crate) fn keep_strongest(
+        &mut self,
+        held: &mut BTreeMap<LeakLocation, usize>,
+        location: &LeakLocation,
+        p_value: f64,
+        make: impl FnOnce() -> Leak,
+    ) {
+        match held.get(location) {
+            Some(&i) if p_value < self.leaks[i].p_value => self.leaks[i] = make(),
+            Some(_) => {}
+            None => {
+                held.insert(location.clone(), self.leaks.len());
+                self.leaks.push(make());
+            }
+        }
     }
 }
 

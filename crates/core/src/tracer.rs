@@ -2,9 +2,9 @@
 //!
 //! [`OwlTracer`] implements [`KernelHook`] and reconstructs one A-DCFG per
 //! kernel launch, normalising global addresses to `(allocation, offset)`
-//! features on the fly via the runtime's shared [`AllocTable`] (the paper
-//! converts addresses to offsets during tracing to neutralise layout and
-//! ASLR effects, §V-C).
+//! features on the fly via the runtime's shared
+//! [`AllocTable`](owl_host::AllocTable) (the paper converts addresses to
+//! offsets during tracing to neutralise layout and ASLR effects, §V-C).
 
 use owl_dcfg::{Adcfg, AdcfgBuilder};
 use owl_gpu::hook::{KernelHook, LaunchInfo, MemAccessEvent, MemEventBatch, WarpRef};

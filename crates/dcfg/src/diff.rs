@@ -1,7 +1,7 @@
 //! Myers O(ND) sequence alignment.
 //!
-//! The paper's evidence-merging step (§VII-A) "utilize[s] the Myers
-//! algorithm to compare two trace sequences … then align[s] the sequences
+//! The paper's evidence-merging step (§VII-A) "utilize\[s\] the Myers
+//! algorithm to compare two trace sequences … then align\[s\] the sequences
 //! referring to kernel invocations". This module implements the greedy
 //! O(ND) Myers diff over arbitrary `PartialEq` items and exposes the result
 //! as an alignment: matched pairs plus one-sided insertions/deletions.

@@ -50,10 +50,10 @@ pub enum ExecError {
     BarrierDeadlock,
     /// The launch exceeded its instruction budget (runaway loop guard).
     FuelExhausted,
-    /// The launch was abandoned because its [`CancelToken`]
-    /// (`crate::cancel::CancelToken`) fired — a caller cancellation or an
-    /// expired wall-clock deadline. Checked cooperatively at basic-block
-    /// boundaries.
+    /// The launch was abandoned because its
+    /// [`CancelToken`](crate::cancel::CancelToken) fired — a caller
+    /// cancellation or an expired wall-clock deadline. Checked
+    /// cooperatively at basic-block boundaries.
     Cancelled,
     /// The launch geometry is degenerate (zero threads).
     EmptyLaunch,

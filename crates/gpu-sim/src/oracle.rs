@@ -7,7 +7,7 @@
 //!
 //! * plain recursive descent over the structured statement tree — no
 //!   explicit frame stack;
-//! * one `match` per [`InstOp`](crate::isa::InstOp) — no pre-resolved
+//! * one `match` per [`InstOp`] — no pre-resolved
 //!   operand tables;
 //! * one [`KernelHook::mem_access`] call per memory instruction — no event
 //!   batching;
@@ -646,7 +646,7 @@ impl<'p> OracleWarp<'p> {
 ///
 /// The engine loop mirrors the production engine (sequential CTAs, warps
 /// run to the next barrier, barrier releases when every non-done warp has
-/// parked) but drives [`OracleWarp`]s over the unlowered program form.
+/// parked) but drives `OracleWarp`s over the unlowered program form.
 ///
 /// # Errors
 ///

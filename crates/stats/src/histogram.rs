@@ -5,8 +5,8 @@
 //! [`Histogram`] is that structure: a map from an integer-valued feature
 //! (address offset, transition id, invocation count, …) to a count.
 //!
-//! Storage is the hybrid append/sorted layout of [`crate::pairtable`]:
-//! `record` lands in a fixed append buffer, reads see the sorted,
+//! Storage is the hybrid append/sorted layout of the private `pairtable`
+//! module: `record` lands in a fixed append buffer, reads see the sorted,
 //! coalesced bins (the *sorted-on-read* invariant), and the running total
 //! is maintained on write so [`Histogram::total`] is O(1). Call
 //! [`Histogram::normalize`] after a write burst to make subsequent reads

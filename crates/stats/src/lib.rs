@@ -15,8 +15,6 @@
 //!   the statistic behind the detector's TVLA engine),
 //! * [`mi`] — mutual-information leakage quantification (bits per
 //!   observation, the statistic behind the detector's MI engine),
-//! * [`engine`] — the method-agnostic [`EngineOutcome`] every analysis
-//!   engine reduces its result to,
 //! * [`Histogram`] — weighted value histograms (`H_addr` in the paper),
 //! * [`TransitionMatrix`] — per-node control-flow transition matrices
 //!   (eqs. (5)–(8), flattened into the `H_cf` histogram).
@@ -41,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod ecdf;
-pub mod engine;
 pub mod histogram;
 pub mod ks;
 pub mod mi;
@@ -51,7 +48,6 @@ pub mod transition;
 pub mod welch;
 
 pub use ecdf::Ecdf;
-pub use engine::EngineOutcome;
 pub use histogram::Histogram;
 pub use ks::{ks_two_sample, KsOutcome};
 pub use mi::class_mi_bits;

@@ -2,7 +2,7 @@
 //! an observed feature.
 //!
 //! Owl's KS test answers *whether* a feature is input-dependent; tools
-//! like CacheQL (cited as ref. [17] of the paper) additionally ask *how
+//! like CacheQL (cited as ref. \[17\] of the paper) additionally ask *how
 //! much* leaks. With two balanced observation classes — fixed-input runs
 //! and random-input runs — the mutual information between the class
 //! indicator `C ∈ {fix, rnd}` and the feature `F` is

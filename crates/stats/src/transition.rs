@@ -12,8 +12,9 @@
 //! here [`BOUNDARY`].
 //!
 //! Like [`Histogram`], the matrix uses the hybrid append/sorted storage of
-//! [`crate::pairtable`]: `record` is an append, reads are sorted-on-read,
-//! and [`TransitionMatrix::executions`] is a maintained O(1) total.
+//! the private `pairtable` module: `record` is an append, reads are
+//! sorted-on-read, and [`TransitionMatrix::executions`] is a maintained
+//! O(1) total.
 
 use crate::histogram::Histogram;
 use crate::pairtable::PairTable;

@@ -1,6 +1,6 @@
 //! Welch's unequal-variance t-test.
 //!
-//! Prior side-channel leakage work (TVLA, dudect — refs. [69], [70] of the
+//! Prior side-channel leakage work (TVLA, dudect — refs. \[69\], \[70\] of the
 //! paper) uses Welch's t-test to compare fixed-vs-random trace populations.
 //! Owl replaces it with the KS test because trace features are rarely
 //! normally distributed; this module keeps the t-test available as the

@@ -167,7 +167,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Sizes accepted by [`vec`].
+    /// Sizes accepted by [`vec()`].
     pub trait SizeRange {
         /// Draws a concrete length.
         fn pick(&self, rng: &mut TestRng) -> usize;
@@ -191,7 +191,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S, R> {
         element: S,

@@ -220,16 +220,14 @@ fn parse_args() -> Result<Options, String> {
                 opts.parallelism = Some(
                     args.next()
                         .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .ok_or("--parallelism needs a worker count >= 1")?,
+                        .ok_or("--parallelism needs a worker count")?,
                 );
             }
             "--retries" => {
                 opts.retries = Some(
                     args.next()
                         .and_then(|v| v.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .ok_or("--retries needs an attempt budget >= 1")?,
+                        .ok_or("--retries needs an attempt budget")?,
                 );
             }
             "--min-runs" => {

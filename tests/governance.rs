@@ -7,7 +7,8 @@
 
 use owl::core::{
     detect, detect_with_cancel, CancelToken, ConfigError, DetectPhase, Detection, DetectionSummary,
-    FaultPlan, InjectedFault, OwlConfig, ResourceKind, RetryPolicy, Verdict, STREAM_RND,
+    ExecFaultKind, FaultPlan, InjectedFault, OwlConfig, ResourceKind, RetryPolicy, Verdict,
+    STREAM_RND,
 };
 use owl::workloads::dummy::{DummySbox, RunawaySpin};
 use owl::workloads::rsa::RsaLadder;
@@ -198,6 +199,30 @@ fn evidence_budget_overrun_is_inconclusive_without_quarantining_runs() {
     assert!(record.error.to_string().contains("evidence_bytes"));
 }
 
+/// `detect` does not validate, so it clamps a zero quorum to one run per
+/// set: losing the whole random stream stays `Inconclusive` instead of a
+/// "kernel invoked under fixed inputs but not under random inputs" leak
+/// read off an empty random evidence set.
+#[test]
+fn zero_quorum_never_tests_an_empty_evidence_set() {
+    let plan = FaultPlan::new().fail_stream(
+        STREAM_RND,
+        InjectedFault::Exec(ExecFaultKind::FuelExhausted),
+    );
+    let faulty = owl::core::FaultyProgram::new(DummySbox::new(64), plan);
+    let config = OwlConfig {
+        runs: 8,
+        parallelism: 2,
+        min_runs_per_set: Some(0),
+        ..OwlConfig::default()
+    };
+    assert_eq!(config.quorum(), 1);
+    let detection = detect(&faulty, &[1u64, 2, 3, 4], &config).expect("detection");
+    assert_eq!(detection.verdict, Verdict::Inconclusive);
+    assert!(detection.report.is_clean(), "{}", detection.report);
+    assert_eq!(detection.fault_counters.evidence.quarantined, 8);
+}
+
 /// `validate` rejects nonsensical configurations with typed errors that
 /// render a human-readable reason, before any run is recorded.
 #[test]
@@ -226,6 +251,13 @@ fn config_validation_rejects_nonsense() {
             .unwrap_err(),
         ConfigError::QuorumExceedsRuns { quorum: 9, runs: 4 }
     ));
+    assert_eq!(
+        OwlConfig::builder()
+            .min_runs_per_set(0)
+            .validate()
+            .unwrap_err(),
+        ConfigError::ZeroQuorum
+    );
     for (err, needle) in [
         (
             OwlConfig::builder().max_instructions(0).validate(),
