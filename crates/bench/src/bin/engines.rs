@@ -44,7 +44,11 @@ where
     P: TracedProgram + Sync,
     P::Input: Send + Sync,
 {
-    let config = OwlConfig::builder().runs(runs).engines_all().build();
+    let config = OwlConfig {
+        runs,
+        compare_engines: true,
+        ..OwlConfig::default()
+    };
     let detection = detect(program, inputs, &config)?;
     let comparison = detection
         .engine_comparison

@@ -45,18 +45,6 @@ impl Default for RetryPolicy {
     }
 }
 
-impl RetryPolicy {
-    /// A policy that never retries (one attempt per run).
-    pub fn no_retries() -> Self {
-        RetryPolicy::with_max_attempts(1)
-    }
-
-    /// A policy with the given attempt budget.
-    pub fn with_max_attempts(max_attempts: u32) -> Self {
-        RetryPolicy { max_attempts }
-    }
-}
-
 /// The outcome of one run driven through the retry loop of
 /// [`Recorder::record`](crate::record::Recorder::record).
 #[derive(Debug)]
@@ -265,8 +253,6 @@ mod tests {
         let a = RetryPolicy::default();
         let b = a;
         assert_eq!(a, b);
-        assert_eq!(RetryPolicy::no_retries().max_attempts, 1);
-        assert_eq!(RetryPolicy::with_max_attempts(5).max_attempts, 5);
     }
 
     #[test]

@@ -104,8 +104,8 @@ pub use filter::{filter_traces, FilterOutcome, InputClass};
 pub use govern::{CancelToken, ResourceBudget, ResourceKind};
 pub use inject::{ExecFaultKind, FaultPlan, FaultRule, FaultyProgram, InjectedFault};
 pub use owl::{
-    detect, detect_with_cancel, fix_stream, ConfigError, Detection, OwlConfig, OwlConfigBuilder,
-    PhaseStats, Verdict, STREAM_RND, STREAM_USER,
+    detect, detect_with_cancel, fix_stream, ConfigError, Detection, OwlConfig, PhaseStats, Verdict,
+    STREAM_RND, STREAM_USER,
 };
 pub use owl_metrics::{
     FaultCounters, PhaseFaultCounters, PhaseSpan, SimCounters, Spans, SCHEMA_VERSION,

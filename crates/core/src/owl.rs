@@ -105,13 +105,6 @@ impl Default for OwlConfig {
 }
 
 impl OwlConfig {
-    /// A fluent builder over the defaults:
-    /// `OwlConfig::builder().runs(40).aslr_seed(7).build()`. Struct-literal
-    /// construction via [`Default`] keeps working.
-    pub fn builder() -> OwlConfigBuilder {
-        OwlConfigBuilder::default()
-    }
-
     /// The effective per-set quorum: [`OwlConfig::min_runs_per_set`], or
     /// half the configured runs (at least 2), capped at `runs` — and never
     /// below 1, so an empty evidence set is never tested.
@@ -268,134 +261,6 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Builder for [`OwlConfig`]; every setter has the same name and meaning as
-/// the corresponding config field.
-#[derive(Debug, Clone, Default)]
-pub struct OwlConfigBuilder {
-    config: OwlConfig,
-}
-
-impl OwlConfigBuilder {
-    /// Executions per evidence side.
-    pub fn runs(mut self, runs: usize) -> Self {
-        self.config.runs = runs;
-        self
-    }
-
-    /// KS confidence level.
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.config.alpha = alpha;
-        self
-    }
-
-    /// Base seed for drawing random inputs.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Run the leakage analysis even for a single input class.
-    pub fn force_analysis(mut self, force: bool) -> Self {
-        self.config.force_analysis = force;
-        self
-    }
-
-    /// The analysis engine deciding per-feature input dependence.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.config.method = engine;
-        self
-    }
-
-    /// Runs every engine over the shared evidence and records the
-    /// cross-engine agreement table ([`Detection::engine_comparison`]).
-    pub fn engines_all(mut self) -> Self {
-        self.config.compare_engines = true;
-        self
-    }
-
-    /// SIMT warp width for every recorded execution.
-    pub fn warp_size(mut self, warp_size: u32) -> Self {
-        self.config.warp_size = warp_size;
-        self
-    }
-
-    /// Enables simulated ASLR derived from this seed.
-    pub fn aslr_seed(mut self, seed: u64) -> Self {
-        self.config.aslr_seed = Some(seed);
-        self
-    }
-
-    /// Worker threads for the recording and analysis fan-out.
-    pub fn parallelism(mut self, workers: usize) -> Self {
-        self.config.parallelism = workers;
-        self
-    }
-
-    /// Retry policy for failed recordings.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.config.retry = retry;
-        self
-    }
-
-    /// Minimum surviving runs per evidence set.
-    pub fn min_runs_per_set(mut self, quorum: usize) -> Self {
-        self.config.min_runs_per_set = Some(quorum);
-        self
-    }
-
-    /// Replaces the whole resource budget.
-    pub fn budget(mut self, budget: ResourceBudget) -> Self {
-        self.config.budget = budget;
-        self
-    }
-
-    /// Instruction budget per kernel launch (the simulator fuel).
-    pub fn max_instructions(mut self, max: u64) -> Self {
-        self.config.budget.max_instructions = max;
-        self
-    }
-
-    /// Memory-access events one recorded run may produce.
-    pub fn max_mem_events(mut self, max: u64) -> Self {
-        self.config.budget.max_mem_events = Some(max);
-        self
-    }
-
-    /// Device allocations one recorded run may perform.
-    pub fn max_allocations(mut self, max: u64) -> Self {
-        self.config.budget.max_allocations = Some(max);
-        self
-    }
-
-    /// Total merged evidence footprint the detection may hold, in bytes.
-    pub fn max_evidence_bytes(mut self, max: usize) -> Self {
-        self.config.budget.max_evidence_bytes = Some(max);
-        self
-    }
-
-    /// Wall-clock deadline for the whole detection.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.config.budget.deadline = Some(deadline);
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> OwlConfig {
-        self.config
-    }
-
-    /// Finishes the builder, rejecting nonsensical configurations (see
-    /// [`OwlConfig::validate`]).
-    ///
-    /// # Errors
-    ///
-    /// The first [`ConfigError`] found.
-    pub fn validate(self) -> Result<OwlConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
 /// Cost accounting for one detection, mirroring the columns of the paper's
 /// Table IV.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -404,7 +269,12 @@ pub struct PhaseStats {
     pub trace_collection_time: Duration,
     /// Mean bytes per recorded trace.
     pub trace_bytes: usize,
-    /// Number of traces recorded for evidence (fixed + random).
+    /// Evidence traces the detection plans: `runs × (1 + classes)`, the
+    /// shared random side plus one fixed side per input class. A fixed
+    /// class replicated from a single recording (see
+    /// [`TracedProgram::deterministic_host`]) counts all `runs`, and
+    /// quarantined runs are not subtracted, so this can exceed the number
+    /// of recordings actually made.
     pub evidence_traces: usize,
     /// Wall time to record + merge the evidence.
     pub evidence_time: Duration,

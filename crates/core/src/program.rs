@@ -26,8 +26,11 @@ pub trait TracedProgram {
     ///
     /// # Errors
     ///
-    /// Propagates any [`HostError`] from the runtime; the detector aborts
-    /// the phase on the first error.
+    /// Propagates any [`HostError`] from the runtime. A failed run does not
+    /// abort the detection: [`Recorder::record`](crate::record::Recorder::record)
+    /// retries it under the config's retry policy, and a run that fails
+    /// every attempt is quarantined into
+    /// [`Detection::faults`](crate::owl::Detection::faults).
     fn run(&self, device: &mut Device, input: &Self::Input) -> Result<(), HostError>;
 
     /// Executes the program once over `input`, with the identity of the

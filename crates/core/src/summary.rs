@@ -212,7 +212,8 @@ pub struct PhaseStatsMs {
     pub trace_collection_ms: f64,
     /// Mean bytes per recorded trace.
     pub trace_bytes: usize,
-    /// Number of traces recorded for evidence.
+    /// Evidence traces the detection plans (see
+    /// [`PhaseStats::evidence_traces`]).
     pub evidence_traces: usize,
     /// Wall time to record + merge the evidence.
     pub evidence_ms: f64,
@@ -287,6 +288,7 @@ impl MetricsReport {
 mod tests {
     use super::*;
     use crate::filter::FilterOutcome;
+    use crate::govern::ResourceBudget;
 
     fn fake_detection() -> Detection<u64> {
         Detection {
@@ -342,7 +344,11 @@ mod tests {
     #[test]
     fn summary_carries_schema_version_and_counters() {
         let d = fake_detection();
-        let config = OwlConfig::builder().runs(20).aslr_seed(7).build();
+        let config = OwlConfig {
+            runs: 20,
+            aslr_seed: Some(7),
+            ..OwlConfig::default()
+        };
         let summary = DetectionSummary::new("toy", &d, &config);
         let json = serde_json::to_string_pretty(&summary).unwrap();
         let value: serde_json::Value = serde_json::from_str(&json).unwrap();
@@ -399,7 +405,10 @@ mod tests {
     #[test]
     fn metrics_report_flattens_durations_to_ms() {
         let d = fake_detection();
-        let config = OwlConfig::builder().parallelism(2).build();
+        let config = OwlConfig {
+            parallelism: 2,
+            ..OwlConfig::default()
+        };
         let metrics = MetricsReport::new("toy", &d, &config);
         let json = serde_json::to_string(&metrics).unwrap();
         let value: serde_json::Value = serde_json::from_str(&json).unwrap();
@@ -417,11 +426,15 @@ mod tests {
     #[test]
     fn metrics_report_carries_budget_utilization() {
         let d = fake_detection();
-        let config = OwlConfig::builder()
-            .max_instructions(50_000)
-            .max_evidence_bytes(1 << 20)
-            .deadline(Duration::from_millis(2500))
-            .build();
+        let config = OwlConfig {
+            budget: ResourceBudget {
+                max_instructions: 50_000,
+                max_evidence_bytes: Some(1 << 20),
+                deadline: Some(Duration::from_millis(2500)),
+                ..ResourceBudget::DEFAULT
+            },
+            ..OwlConfig::default()
+        };
         let metrics = MetricsReport::new("toy", &d, &config);
         let json = serde_json::to_string(&metrics).unwrap();
         let value: serde_json::Value = serde_json::from_str(&json).unwrap();

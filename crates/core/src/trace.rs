@@ -159,11 +159,6 @@ impl ProgramTrace {
         self.hash(&mut h);
         h.finish()
     }
-
-    /// The invocation-key sequence, the unit of Myers alignment.
-    pub fn key_sequence(&self) -> Vec<&InvocationKey> {
-        self.invocations.iter().map(|i| &i.key).collect()
-    }
 }
 
 /// A deterministic 64-bit FNV-1a hasher. `std`'s default hasher is

@@ -212,11 +212,6 @@ impl DeviceMemory {
         self.aslr_state = Some(seed | 1);
     }
 
-    /// Disables simulated ASLR (the paper's configuration).
-    pub fn disable_aslr(&mut self) {
-        self.aslr_state = None;
-    }
-
     fn aslr_gap(&mut self) -> u64 {
         match &mut self.aslr_state {
             None => 0,

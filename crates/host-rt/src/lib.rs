@@ -494,11 +494,6 @@ impl Device {
     pub fn memory(&self) -> &DeviceMemory {
         &self.mem
     }
-
-    /// Mutable access to device memory (e.g. to pre-seed test patterns).
-    pub fn memory_mut(&mut self) -> &mut DeviceMemory {
-        &mut self.mem
-    }
 }
 
 #[cfg(test)]

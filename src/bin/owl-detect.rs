@@ -52,8 +52,8 @@
 
 use owl::core::{
     detect, Detection, DetectionSummary, Engine, ExecFaultKind, FaultPlan, FaultRule,
-    FaultyProgram, InjectedFault, MetricsReport, OwlConfig, ResourceKind, RetryPolicy,
-    TracedProgram, Verdict, STREAM_RND,
+    FaultyProgram, InjectedFault, MetricsReport, OwlConfig, ResourceKind, TracedProgram, Verdict,
+    STREAM_RND,
 };
 use owl::workloads::aes::{AesScan, AesTTable};
 use owl::workloads::coalescing::CoalescingStride;
@@ -65,7 +65,9 @@ use owl::workloads::render::GlyphRender;
 use owl::workloads::rsa::{RsaLadder, RsaSquareMultiply};
 use owl::workloads::search::{BinarySearchEarlyExit, BinarySearchFixedDepth};
 use owl::workloads::torch::{Tensor, TorchFunction, TorchInput, TorchOpKind};
+use std::num::NonZeroU32;
 use std::process::ExitCode;
+use std::time::Duration;
 
 /// How the detection result is rendered on stdout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,52 +79,14 @@ enum OutputFormat {
 #[derive(Debug)]
 struct Options {
     workload: String,
-    runs: usize,
-    alpha: f64,
-    engine: Engine,
-    compare_engines: bool,
-    aslr_seed: Option<u64>,
-    parallelism: Option<usize>,
-    retries: Option<u32>,
-    min_runs: Option<usize>,
-    max_instructions: Option<u64>,
-    max_mem_events: Option<u64>,
-    max_allocations: Option<u64>,
-    max_evidence_bytes: Option<usize>,
-    deadline_ms: Option<u64>,
+    /// Every detection flag parses straight into this config.
+    config: OwlConfig,
     inject: Option<String>,
     format: OutputFormat,
     metrics_out: Option<String>,
 }
 
 impl Options {
-    /// The detection config these options describe.
-    fn config(&self) -> OwlConfig {
-        let defaults = OwlConfig::default();
-        let mut budget = defaults.budget;
-        if let Some(max) = self.max_instructions {
-            budget.max_instructions = max;
-        }
-        budget.max_mem_events = self.max_mem_events;
-        budget.max_allocations = self.max_allocations;
-        budget.max_evidence_bytes = self.max_evidence_bytes;
-        budget.deadline = self.deadline_ms.map(std::time::Duration::from_millis);
-        OwlConfig {
-            runs: self.runs,
-            alpha: self.alpha,
-            method: self.engine,
-            compare_engines: self.compare_engines,
-            aslr_seed: self.aslr_seed,
-            parallelism: self.parallelism.unwrap_or(defaults.parallelism),
-            retry: self
-                .retries
-                .map_or(defaults.retry, RetryPolicy::with_max_attempts),
-            min_runs_per_set: self.min_runs,
-            budget,
-            ..defaults
-        }
-    }
-
     /// The fault-injection plan requested via `--inject`, if any.
     fn injection_plan(&self) -> Result<Option<FaultPlan>, String> {
         let Some(scenario) = self.inject.as_deref() else {
@@ -167,110 +131,74 @@ impl Options {
     }
 }
 
+/// The next argument parsed as a `T`, or `err` when it is missing or does
+/// not parse.
+fn value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    err: &str,
+) -> Result<T, String> {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| err.to_string())
+}
+
 fn parse_args() -> Result<Options, String> {
     let mut args = std::env::args().skip(1);
     let workload = args.next().ok_or("missing workload name")?;
     let mut opts = Options {
         workload,
-        runs: 60,
-        alpha: 0.95,
-        engine: Engine::Ks,
-        compare_engines: false,
-        aslr_seed: None,
-        parallelism: None,
-        retries: None,
-        min_runs: None,
-        max_instructions: None,
-        max_mem_events: None,
-        max_allocations: None,
-        max_evidence_bytes: None,
-        deadline_ms: None,
+        config: OwlConfig {
+            runs: 60,
+            ..OwlConfig::default()
+        },
         inject: None,
         format: OutputFormat::Text,
         metrics_out: None,
     };
     while let Some(a) = args.next() {
+        let config = &mut opts.config;
         match a.as_str() {
-            "--runs" => {
-                opts.runs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--runs needs a number")?;
-            }
-            "--alpha" => {
-                opts.alpha = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--alpha needs a number in (0,1)")?;
-            }
+            "--runs" => config.runs = value(&mut args, "--runs needs a number")?,
+            "--alpha" => config.alpha = value(&mut args, "--alpha needs a number in (0,1)")?,
             "--engine" => {
                 let name = args.next().ok_or("--engine needs ks|tvla|mi")?;
-                opts.engine = Engine::from_name(&name)
+                config.method = Engine::from_name(&name)
                     .ok_or_else(|| format!("unknown engine {name} (expected ks|tvla|mi)"))?;
             }
-            "--compare-engines" => opts.compare_engines = true,
-            "--aslr" => {
-                opts.aslr_seed = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--aslr needs a seed")?,
-                );
-            }
+            "--compare-engines" => config.compare_engines = true,
+            "--aslr" => config.aslr_seed = Some(value(&mut args, "--aslr needs a seed")?),
             "--parallelism" => {
-                opts.parallelism = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--parallelism needs a worker count")?,
-                );
+                config.parallelism = value(&mut args, "--parallelism needs a worker count")?;
             }
             "--retries" => {
-                opts.retries = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--retries needs an attempt budget")?,
-                );
+                config.retry.max_attempts = value(&mut args, "--retries needs an attempt budget")?;
             }
             "--min-runs" => {
-                opts.min_runs = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--min-runs needs a number")?,
-                );
+                config.min_runs_per_set = Some(value(&mut args, "--min-runs needs a number")?);
             }
             "--max-instructions" => {
-                opts.max_instructions = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--max-instructions needs an instruction budget")?,
-                );
+                config.budget.max_instructions =
+                    value(&mut args, "--max-instructions needs an instruction budget")?;
             }
             "--max-mem-events" => {
-                opts.max_mem_events = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--max-mem-events needs an event budget")?,
-                );
+                config.budget.max_mem_events =
+                    Some(value(&mut args, "--max-mem-events needs an event budget")?);
             }
             "--max-allocations" => {
-                opts.max_allocations = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--max-allocations needs an allocation budget")?,
-                );
+                config.budget.max_allocations = Some(value(
+                    &mut args,
+                    "--max-allocations needs an allocation budget",
+                )?);
             }
             "--max-evidence-bytes" => {
-                opts.max_evidence_bytes = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--max-evidence-bytes needs a byte budget")?,
-                );
+                config.budget.max_evidence_bytes = Some(value(
+                    &mut args,
+                    "--max-evidence-bytes needs a byte budget",
+                )?);
             }
             "--deadline-ms" => {
-                opts.deadline_ms = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--deadline-ms needs a duration in milliseconds")?,
-                );
+                let millis = value(&mut args, "--deadline-ms needs a duration in milliseconds")?;
+                config.budget.deadline = Some(Duration::from_millis(millis));
             }
             "--inject" => {
                 opts.inject = Some(args.next().ok_or("--inject needs a scenario name")?);
@@ -300,7 +228,7 @@ where
     P: TracedProgram + Sync,
     P::Input: Send + Sync,
 {
-    let config = opts.config();
+    let config = &opts.config;
     // Reject nonsensical configs up front with the typed error's message
     // (exit 1) instead of silently clamping.
     config
@@ -309,8 +237,8 @@ where
     let result = match opts.injection_plan()? {
         // The blanket `&P: TracedProgram` impl lets the harness wrap the
         // borrowed workload.
-        Some(plan) => detect(&FaultyProgram::new(program, plan), inputs, &config),
-        None => detect(program, inputs, &config),
+        Some(plan) => detect(&FaultyProgram::new(program, plan), inputs, config),
+        None => detect(program, inputs, config),
     };
     // `detect` errors carry their run context (phase, stream, run index);
     // Display renders it, so the CLI message names the failing run.
@@ -328,10 +256,10 @@ fn verdict_exit_code(verdict: Verdict) -> ExitCode {
 }
 
 fn report<I>(name: &str, detection: &Detection<I>, opts: &Options) -> Result<ExitCode, String> {
-    let config = opts.config();
+    let config = &opts.config;
     match opts.format {
         OutputFormat::Json => {
-            let summary = DetectionSummary::new(name, detection, &config);
+            let summary = DetectionSummary::new(name, detection, config);
             let json = serde_json::to_string_pretty(&summary)
                 .map_err(|e| format!("serializing summary: {e}"))?;
             println!("{json}");
@@ -413,7 +341,7 @@ fn report<I>(name: &str, detection: &Detection<I>, opts: &Options) -> Result<Exi
         }
     }
     if let Some(path) = &opts.metrics_out {
-        let metrics = MetricsReport::new(name, detection, &config);
+        let metrics = MetricsReport::new(name, detection, config);
         let json = serde_json::to_string_pretty(&metrics)
             .map_err(|e| format!("serializing metrics: {e}"))?;
         std::fs::write(path, json + "\n").map_err(|e| format!("writing {path}: {e}"))?;
@@ -520,12 +448,14 @@ fn dispatch(opts: &Options) -> Result<ExitCode, String> {
         }
         other => {
             if let Some(rest) = other.strip_prefix("dummy") {
+                // The kernel launches `elems` threads, so the size must be
+                // a nonzero `u32`.
                 let elems = rest
                     .strip_prefix(':')
-                    .map(|v| v.parse().map_err(|_| "bad dummy size"))
+                    .map(|v| v.parse::<NonZeroU32>().map_err(|_| "bad dummy size"))
                     .transpose()?
-                    .unwrap_or(64);
-                let w = DummySbox::new(elems);
+                    .map_or(64, NonZeroU32::get);
+                let w = DummySbox::new(elems as usize);
                 return report(other, &run_detection(&w, &[1, 2, 3, 4], opts)?, opts);
             }
             if let Some(op) = other.strip_prefix("torch:").and_then(torch_kind) {

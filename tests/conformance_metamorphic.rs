@@ -129,7 +129,11 @@ impl TracedProgram for FuzzHarness {
 }
 
 fn config() -> OwlConfig {
-    OwlConfig::builder().runs(RUNS).parallelism(2).build()
+    OwlConfig {
+        runs: RUNS,
+        parallelism: 2,
+        ..OwlConfig::default()
+    }
 }
 
 const INPUTS: [u64; 4] = [3, 10, 21, 36];
@@ -164,11 +168,10 @@ fn verdict_invariant_under_aslr_seed() {
     let program = FuzzHarness::new(SEED_BASE, true);
     let baseline = detect(&program, &INPUTS, &config()).expect("detect");
     for aslr in [1u64, 42, 0xDEAD_BEEF] {
-        let cfg = OwlConfig::builder()
-            .runs(RUNS)
-            .parallelism(2)
-            .aslr_seed(aslr)
-            .build();
+        let cfg = OwlConfig {
+            aslr_seed: Some(aslr),
+            ..config()
+        };
         let detection = detect(&program, &INPUTS, &cfg).expect("detect");
         assert_eq!(detection.verdict, baseline.verdict, "aslr seed {aslr}");
         assert_eq!(detection.report, baseline.report, "aslr seed {aslr}");
@@ -183,15 +186,18 @@ fn verdict_invariant_under_parallelism() {
         let baseline = detect(
             &program,
             &INPUTS,
-            &OwlConfig::builder().runs(RUNS).parallelism(1).build(),
+            &OwlConfig {
+                parallelism: 1,
+                ..config()
+            },
         )
         .expect("detect");
         assert_eq!(baseline.verdict, expected);
         for parallelism in [2usize, 4, 8] {
-            let cfg = OwlConfig::builder()
-                .runs(RUNS)
-                .parallelism(parallelism)
-                .build();
+            let cfg = OwlConfig {
+                parallelism,
+                ..config()
+            };
             let detection = detect(&program, &INPUTS, &cfg).expect("detect");
             assert_eq!(
                 detection.verdict, baseline.verdict,
@@ -218,7 +224,7 @@ fn verdict_invariant_under_retry_perturbation() {
     let cfg = OwlConfig {
         runs: RUNS,
         parallelism: 2,
-        retry: RetryPolicy::with_max_attempts(3),
+        retry: RetryPolicy { max_attempts: 3 },
         ..OwlConfig::default()
     };
     let baseline = detect(&program, &INPUTS, &cfg).expect("detect");
@@ -242,11 +248,10 @@ fn verdict_invariant_under_retry_perturbation() {
 #[test]
 fn binary_engines_agree_on_by_construction_probes() {
     for engine in [Engine::Ks, Engine::Tvla] {
-        let cfg = OwlConfig::builder()
-            .runs(RUNS)
-            .parallelism(2)
-            .engine(engine)
-            .build();
+        let cfg = OwlConfig {
+            method: engine,
+            ..config()
+        };
         let leaky = detect(&FuzzHarness::new(SEED_BASE, true), &INPUTS, &cfg).expect("detect");
         assert_eq!(
             leaky.verdict,
@@ -275,11 +280,10 @@ fn binary_engines_agree_on_by_construction_probes() {
 /// when the analysis is forced past the single-class shortcut.
 #[test]
 fn mi_engine_quantifies_bits_on_leaky_and_none_on_clean() {
-    let leaky_cfg = OwlConfig::builder()
-        .runs(RUNS)
-        .parallelism(2)
-        .engine(Engine::Mi)
-        .build();
+    let leaky_cfg = OwlConfig {
+        method: Engine::Mi,
+        ..config()
+    };
     let leaky = detect(&FuzzHarness::new(SEED_BASE, true), &INPUTS, &leaky_cfg).expect("detect");
     assert_eq!(leaky.verdict, Verdict::Leaky, "{}", leaky.report);
     let max_bits = leaky
@@ -294,12 +298,11 @@ fn mi_engine_quantifies_bits_on_leaky_and_none_on_clean() {
     );
     // The clean probe's traces are input-independent, so forcing the
     // analysis compares identical distributions: ~0 bits, nothing flagged.
-    let clean_cfg = OwlConfig::builder()
-        .runs(RUNS)
-        .parallelism(2)
-        .engine(Engine::Mi)
-        .force_analysis(true)
-        .build();
+    let clean_cfg = OwlConfig {
+        method: Engine::Mi,
+        force_analysis: true,
+        ..config()
+    };
     let clean = detect(&FuzzHarness::new(SEED_BASE, false), &INPUTS, &clean_cfg).expect("detect");
     assert!(
         clean.report.is_clean(),
@@ -318,19 +321,19 @@ fn every_engine_is_deterministic_across_parallelism() {
         let baseline = detect(
             &program,
             &INPUTS,
-            &OwlConfig::builder()
-                .runs(RUNS)
-                .parallelism(1)
-                .engine(engine)
-                .build(),
+            &OwlConfig {
+                parallelism: 1,
+                method: engine,
+                ..config()
+            },
         )
         .expect("detect");
         for parallelism in [2usize, 4, 8] {
-            let cfg = OwlConfig::builder()
-                .runs(RUNS)
-                .parallelism(parallelism)
-                .engine(engine)
-                .build();
+            let cfg = OwlConfig {
+                parallelism,
+                method: engine,
+                ..config()
+            };
             let detection = detect(&program, &INPUTS, &cfg).expect("detect");
             assert_eq!(
                 detection.verdict,
@@ -360,11 +363,10 @@ fn every_engine_is_deterministic_across_parallelism() {
 /// counts.
 #[test]
 fn comparison_mode_agrees_on_ground_truth_probes() {
-    let cfg = OwlConfig::builder()
-        .runs(RUNS)
-        .parallelism(2)
-        .engines_all()
-        .build();
+    let cfg = OwlConfig {
+        compare_engines: true,
+        ..config()
+    };
     let leaky = detect(&FuzzHarness::new(SEED_BASE, true), &INPUTS, &cfg).expect("detect");
     assert_eq!(leaky.verdict, Verdict::Leaky);
     let table = leaky.engine_comparison.as_ref().expect("table present");
@@ -391,22 +393,21 @@ fn comparison_mode_agrees_on_ground_truth_probes() {
     let serial = detect(
         &FuzzHarness::new(SEED_BASE, true),
         &INPUTS,
-        &OwlConfig::builder()
-            .runs(RUNS)
-            .parallelism(1)
-            .engines_all()
-            .build(),
+        &OwlConfig {
+            parallelism: 1,
+            compare_engines: true,
+            ..config()
+        },
     )
     .expect("detect");
     assert_eq!(serial.engine_comparison.as_ref(), Some(table));
     // The clean probe, forced past the single-class shortcut, produces an
     // empty table: no engine flags anything.
-    let clean_cfg = OwlConfig::builder()
-        .runs(RUNS)
-        .parallelism(2)
-        .engines_all()
-        .force_analysis(true)
-        .build();
+    let clean_cfg = OwlConfig {
+        compare_engines: true,
+        force_analysis: true,
+        ..config()
+    };
     let clean = detect(&FuzzHarness::new(SEED_BASE, false), &INPUTS, &clean_cfg).expect("detect");
     let clean_table = clean.engine_comparison.as_ref().expect("table present");
     assert!(clean_table.rows.is_empty(), "{:?}", clean_table.rows);

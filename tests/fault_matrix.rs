@@ -16,6 +16,8 @@ use owl::workloads::dummy::DummySbox;
 use owl::workloads::rsa::RsaLadder;
 
 const RUNS: usize = 12;
+/// One attempt per run: every injected fault quarantines its run.
+const ONE_ATTEMPT: RetryPolicy = RetryPolicy { max_attempts: 1 };
 
 fn config(parallelism: usize, retry: RetryPolicy) -> OwlConfig {
     OwlConfig {
@@ -107,7 +109,7 @@ fn every_fault_kind_is_quarantined_not_fatal() {
     let inputs = [1u64, 2, 3, 4];
     for (tag, fault) in every_fault() {
         let plan = FaultPlan::new().fail_run(STREAM_RND, 1, fault);
-        let detection = detect_injected(&w, &inputs, plan, 2, RetryPolicy::no_retries());
+        let detection = detect_injected(&w, &inputs, plan, 2, ONE_ATTEMPT);
         assert_eq!(detection.verdict, Verdict::Leaky, "fault {tag}");
         assert_eq!(detection.faults.len(), 1, "fault {tag}");
         let record = &detection.faults.records()[0];
@@ -179,7 +181,7 @@ fn transient_faults_recover_to_byte_identical_summaries() {
 fn quarantine_below_quorum_is_inconclusive() {
     let w = RsaLadder::new(32);
     let exponents = [0x8000_0001u64, 0xffff_ffff, 3];
-    let retry = RetryPolicy::no_retries();
+    let retry = ONE_ATTEMPT;
     let plan =
         || FaultPlan::new().fail_stream(STREAM_RND, InjectedFault::Exec(ExecFaultKind::Memory));
     let mut jsons = Vec::new();
@@ -221,7 +223,7 @@ fn lost_user_input_downgrades_leak_free_to_inconclusive() {
     let config = OwlConfig {
         runs: RUNS,
         parallelism: 2,
-        retry: RetryPolicy::no_retries(),
+        retry: ONE_ATTEMPT,
         ..OwlConfig::default()
     };
     let detection = detect(&faulty, &exponents, &config).expect("detection");
@@ -243,7 +245,7 @@ fn all_inputs_lost_is_inconclusive_not_an_error() {
     let exponents = [0x8000_0001u64, 0xffff_ffff, 3];
     let plan =
         FaultPlan::new().fail_stream(STREAM_USER, InjectedFault::Exec(ExecFaultKind::Memory));
-    let detection = detect_injected(&w, &exponents, plan, 2, RetryPolicy::no_retries());
+    let detection = detect_injected(&w, &exponents, plan, 2, ONE_ATTEMPT);
     assert_eq!(detection.verdict, Verdict::Inconclusive);
     assert!(detection.filter.classes.is_empty());
     assert_eq!(detection.faults.len(), exponents.len());
@@ -263,8 +265,7 @@ fn worker_panics_never_poison_the_detection() {
     let inputs = [1u64, 2, 3, 4];
     let plan = || FaultPlan::new().fail_stream(fix_stream(0), InjectedFault::Panic);
     for parallelism in [1, 2, 4, 8] {
-        let detection =
-            detect_injected(&w, &inputs, plan(), parallelism, RetryPolicy::no_retries());
+        let detection = detect_injected(&w, &inputs, plan(), parallelism, ONE_ATTEMPT);
         assert_eq!(
             detection.verdict,
             Verdict::Leaky,
@@ -293,7 +294,7 @@ fn retry_budget_is_honoured_per_run() {
         2,
         InjectedFault::Exec(ExecFaultKind::BarrierDeadlock),
     );
-    let detection = detect_injected(&w, &inputs, plan, 2, RetryPolicy::with_max_attempts(3));
+    let detection = detect_injected(&w, &inputs, plan, 2, RetryPolicy { max_attempts: 3 });
     assert!(detection.faults.is_empty(), "third attempt succeeds");
     assert_eq!(detection.fault_counters.evidence.failed_attempts, 2);
     assert_eq!(detection.fault_counters.evidence.retried, 2);
@@ -305,7 +306,7 @@ fn retry_budget_is_honoured_per_run() {
         2,
         InjectedFault::Exec(ExecFaultKind::BarrierDeadlock),
     );
-    let detection = detect_injected(&w, &inputs, plan, 2, RetryPolicy::with_max_attempts(2));
+    let detection = detect_injected(&w, &inputs, plan, 2, RetryPolicy { max_attempts: 2 });
     assert_eq!(detection.faults.len(), 1);
     assert_eq!(detection.fault_counters.evidence.quarantined, 1);
     assert_eq!(detection.faults.records()[0].attempts, 2);

@@ -21,7 +21,7 @@
 
 use owl::core::{
     detect, DetectionSummary, ExecFaultKind, FaultPlan, FaultyProgram, InjectedFault, OwlConfig,
-    OwlConfigBuilder, ResourceKind, TracedProgram, STREAM_RND,
+    ResourceKind, TracedProgram, STREAM_RND,
 };
 use owl::workloads::aes::AesTTable;
 use owl::workloads::dummy::DummySbox;
@@ -40,11 +40,16 @@ struct Case {
 const CASES: [Case; 8] = [
     Case {
         fixture: "aes_ttable_summary.json",
-        summary: || aes_ttable(aes_config().build()),
+        summary: || aes_ttable(aes_config()),
     },
     Case {
         fixture: "aes_ttable_compare_engines_summary.json",
-        summary: || aes_ttable(aes_config().engines_all().build()),
+        summary: || {
+            aes_ttable(OwlConfig {
+                compare_engines: true,
+                ..aes_config()
+            })
+        },
     },
     Case {
         fixture: "dummy_quarantine_summary.json",
@@ -105,19 +110,22 @@ const CASES: [Case; 8] = [
 
 /// The CLI's `--compare-engines` detection, shortened to ten runs.
 fn compare_config() -> OwlConfig {
-    OwlConfig::builder()
-        .runs(10)
-        .parallelism(2)
-        .engines_all()
-        .build()
+    OwlConfig {
+        runs: 10,
+        parallelism: 2,
+        compare_engines: true,
+        ..OwlConfig::default()
+    }
 }
 
-fn aes_config() -> OwlConfigBuilder {
-    OwlConfig::builder()
-        .runs(10)
-        .parallelism(2)
-        .aslr_seed(0xA51A)
-        .force_analysis(true)
+fn aes_config() -> OwlConfig {
+    OwlConfig {
+        runs: 10,
+        parallelism: 2,
+        aslr_seed: Some(0xA51A),
+        force_analysis: true,
+        ..OwlConfig::default()
+    }
 }
 
 fn aes_ttable(config: OwlConfig) -> String {

@@ -7,8 +7,8 @@
 
 use owl::core::{
     detect, detect_with_cancel, CancelToken, ConfigError, DetectPhase, Detection, DetectionSummary,
-    ExecFaultKind, FaultPlan, InjectedFault, OwlConfig, ResourceKind, RetryPolicy, Verdict,
-    STREAM_RND,
+    ExecFaultKind, FaultPlan, InjectedFault, OwlConfig, ResourceBudget, ResourceKind, RetryPolicy,
+    Verdict, STREAM_RND,
 };
 use owl::workloads::dummy::{DummySbox, RunawaySpin};
 use owl::workloads::rsa::RsaLadder;
@@ -20,7 +20,7 @@ fn config(parallelism: usize) -> OwlConfig {
     OwlConfig {
         runs: RUNS,
         parallelism,
-        retry: RetryPolicy::no_retries(),
+        retry: RetryPolicy { max_attempts: 1 },
         force_analysis: true,
         ..OwlConfig::default()
     }
@@ -38,12 +38,16 @@ fn summary_json<I>(detection: &Detection<I>, config: &OwlConfig) -> String {
 #[test]
 fn runaway_kernel_under_instruction_budget_is_inconclusive() {
     let w = RunawaySpin::new();
-    let config = OwlConfig::builder()
-        .runs(4)
-        .retry(RetryPolicy::no_retries())
-        .max_instructions(10_000)
-        .validate()
-        .expect("valid config");
+    let config = OwlConfig {
+        runs: 4,
+        retry: RetryPolicy { max_attempts: 1 },
+        budget: ResourceBudget {
+            max_instructions: 10_000,
+            ..ResourceBudget::DEFAULT
+        },
+        ..OwlConfig::default()
+    };
+    config.validate().expect("valid config");
     let detection = detect(&w, &[1u64, 2, 3], &config).expect("detection survives exhaustion");
     assert_eq!(detection.verdict, Verdict::Inconclusive);
     assert!(detection.report.is_clean(), "no fabricated leaks");
@@ -227,56 +231,59 @@ fn zero_quorum_never_tests_an_empty_evidence_set() {
 /// render a human-readable reason, before any run is recorded.
 #[test]
 fn config_validation_rejects_nonsense() {
+    /// The default config with one change applied, once it validates.
+    fn validate_with(change: impl FnOnce(&mut OwlConfig)) -> Result<OwlConfig, ConfigError> {
+        let mut config = OwlConfig::default();
+        change(&mut config);
+        config.validate().map(|()| config)
+    }
     assert_eq!(
-        OwlConfig::builder().runs(0).validate().unwrap_err(),
+        validate_with(|c| c.runs = 0).unwrap_err(),
         ConfigError::ZeroRuns
     );
     assert!(matches!(
-        OwlConfig::builder().alpha(1.5).validate().unwrap_err(),
+        validate_with(|c| c.alpha = 1.5).unwrap_err(),
         ConfigError::AlphaOutOfRange { .. }
     ));
     assert!(matches!(
-        OwlConfig::builder().warp_size(0).validate().unwrap_err(),
+        validate_with(|c| c.warp_size = 0).unwrap_err(),
         ConfigError::WarpSizeOutOfRange { .. }
     ));
     assert_eq!(
-        OwlConfig::builder().parallelism(0).validate().unwrap_err(),
+        validate_with(|c| c.parallelism = 0).unwrap_err(),
         ConfigError::ZeroParallelism
     );
     assert!(matches!(
-        OwlConfig::builder()
-            .runs(4)
-            .min_runs_per_set(9)
-            .validate()
-            .unwrap_err(),
+        validate_with(|c| {
+            c.runs = 4;
+            c.min_runs_per_set = Some(9);
+        })
+        .unwrap_err(),
         ConfigError::QuorumExceedsRuns { quorum: 9, runs: 4 }
     ));
     assert_eq!(
-        OwlConfig::builder()
-            .min_runs_per_set(0)
-            .validate()
-            .unwrap_err(),
+        validate_with(|c| c.min_runs_per_set = Some(0)).unwrap_err(),
         ConfigError::ZeroQuorum
     );
     for (err, needle) in [
         (
-            OwlConfig::builder().max_instructions(0).validate(),
+            validate_with(|c| c.budget.max_instructions = 0),
             "instructions",
         ),
         (
-            OwlConfig::builder().max_mem_events(0).validate(),
+            validate_with(|c| c.budget.max_mem_events = Some(0)),
             "mem_events",
         ),
         (
-            OwlConfig::builder().max_allocations(0).validate(),
+            validate_with(|c| c.budget.max_allocations = Some(0)),
             "allocations",
         ),
         (
-            OwlConfig::builder().max_evidence_bytes(0).validate(),
+            validate_with(|c| c.budget.max_evidence_bytes = Some(0)),
             "evidence_bytes",
         ),
         (
-            OwlConfig::builder().deadline(Duration::ZERO).validate(),
+            validate_with(|c| c.budget.deadline = Some(Duration::ZERO)),
             "deadline",
         ),
     ] {
@@ -286,12 +293,12 @@ fn config_validation_rejects_nonsense() {
         assert!(rendered.contains(needle), "{rendered} names {needle}");
     }
     // A sane configuration passes through unchanged.
-    let config = OwlConfig::builder()
-        .runs(8)
-        .max_instructions(1_000_000)
-        .deadline(Duration::from_secs(30))
-        .validate()
-        .expect("sane config");
+    let config = validate_with(|c| {
+        c.runs = 8;
+        c.budget.max_instructions = 1_000_000;
+        c.budget.deadline = Some(Duration::from_secs(30));
+    })
+    .expect("sane config");
     assert_eq!(config.budget.max_instructions, 1_000_000);
 }
 
@@ -301,12 +308,16 @@ fn config_validation_rejects_nonsense() {
 #[test]
 fn metrics_report_tracks_budget_utilization_for_governed_runs() {
     let w = RunawaySpin::new();
-    let config = OwlConfig::builder()
-        .runs(4)
-        .retry(RetryPolicy::no_retries())
-        .max_instructions(10_000)
-        .validate()
-        .expect("valid config");
+    let config = OwlConfig {
+        runs: 4,
+        retry: RetryPolicy { max_attempts: 1 },
+        budget: ResourceBudget {
+            max_instructions: 10_000,
+            ..ResourceBudget::DEFAULT
+        },
+        ..OwlConfig::default()
+    };
+    config.validate().expect("valid config");
     let detection = detect(&w, &[1u64, 2], &config).expect("detection");
     let report = owl::core::MetricsReport::new("runaway-spin", &detection, &config);
     assert_eq!(report.budget.max_instructions_per_launch, 10_000);
