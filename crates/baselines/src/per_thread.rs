@@ -10,6 +10,7 @@
 use owl_core::TracedProgram;
 use owl_gpu::grid::WARP_SIZE;
 use owl_gpu::hook::{KernelHook, LaunchInfo, MemAccessEvent, WarpRef};
+use owl_gpu::mem::DeviceMemory;
 
 use owl_gpu::program::BlockId;
 use owl_host::{Device, HostError};
@@ -104,7 +105,7 @@ impl KernelHook for PerThreadTracer {
         }
     }
 
-    fn mem_access(&mut self, warp: WarpRef, event: &MemAccessEvent) {
+    fn mem_access(&mut self, warp: WarpRef, event: &MemAccessEvent, _mem: &DeviceMemory) {
         let ws = self.warp_size();
         for &(lane, addr) in &event.lane_addrs {
             let key = ThreadKey {

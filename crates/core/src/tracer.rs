@@ -2,15 +2,16 @@
 //!
 //! [`OwlTracer`] implements [`KernelHook`] and reconstructs one A-DCFG per
 //! kernel launch, normalising global addresses to `(allocation, offset)`
-//! features on the fly via the runtime's shared
-//! [`AllocTable`](owl_host::AllocTable) (the paper converts addresses to
-//! offsets during tracing to neutralise layout and ASLR effects, §V-C).
+//! features on the fly through the launch's [`DeviceMemory`], which the
+//! interpreter passes to every memory callback (the paper converts
+//! addresses to offsets during tracing to neutralise layout and ASLR
+//! effects, §V-C).
 
 use owl_dcfg::{Adcfg, AdcfgBuilder};
 use owl_gpu::hook::{KernelHook, LaunchInfo, MemAccessEvent, MemEventBatch, WarpRef};
 use owl_gpu::isa::MemSpace;
+use owl_gpu::mem::{AllocId, DeviceMemory};
 use owl_gpu::program::BlockId;
-use owl_host::SharedAllocTable;
 
 /// Packs a warp identity into the `u64` key the A-DCFG builder uses.
 fn warp_key(w: WarpRef) -> u64 {
@@ -29,30 +30,38 @@ fn warp_key(w: WarpRef) -> u64 {
 /// └───┴──────────────────────────┴────────────────────┘
 /// ```
 ///
-/// * Global accesses resolve to `(allocation, offset)`; the feature is
-///   `(alloc + 1) << 40 | offset`, which is stable across layout changes.
-///   The `+ 1` keeps allocation 0's features disjoint from raw
-///   shared/local offsets.
+/// * Global accesses resolve through [`DeviceMemory::resolve`] to
+///   `(allocation, offset)`; the feature is `(alloc + 1) << 40 | offset`,
+///   which is stable across layout changes. The `+ 1` keeps allocation 0's
+///   features disjoint from raw shared/local offsets.
 /// * Shared/local/constant addresses are already offsets; the feature is
 ///   the raw address.
 /// * An unresolvable global address (never produced by a correct run) is
-///   tagged with the top bit so it cannot alias a normalised feature. An
-///   in-bounds offset of 2^40 bytes (1 TiB) or more does not fit the
-///   40-bit offset field; rather than silently truncating — which would
-///   alias the feature into a *different* allocation's range and corrupt
-///   the differential analysis — it saturates to the same tagged form.
-pub fn encode_address(space: MemSpace, addr: u64, table: &owl_host::AllocTable) -> u64 {
+///   tagged with the top bit so it cannot alias a normalised feature. A
+///   resolved address that does not fit the layout saturates to the same
+///   tagged form rather than being truncated, which would alias it into a
+///   *different* allocation's range and corrupt the differential analysis.
+///   That covers an in-bounds offset of 2^40 bytes (1 TiB) or more, and an
+///   allocation id of 2^23 − 1 or more (from the 8,388,608th allocation
+///   of a run on).
+pub fn encode_address(space: MemSpace, addr: u64, mem: &DeviceMemory) -> u64 {
     match space {
-        MemSpace::Global => match table.resolve(addr) {
-            Some((alloc, offset)) if offset < (1 << 40) => {
-                ((u64::from(alloc.0) + 1) << 40) | offset
-            }
-            // Unresolvable, or offset too large for the encoding.
-            _ => addr | (1 << 63),
-        },
+        MemSpace::Global => pack_global(addr, mem.resolve(addr)),
         // Shared/local/constant addresses and texel indices are already
         // layout-independent offsets.
         MemSpace::Shared | MemSpace::Local | MemSpace::Constant | MemSpace::Texture => addr,
+    }
+}
+
+/// The global-feature packing of [`encode_address`], given the raw address
+/// and its resolution.
+fn pack_global(addr: u64, resolved: Option<(AllocId, u64)>) -> u64 {
+    match resolved {
+        Some((alloc, offset)) if alloc.0 < (1 << 23) - 1 && offset < (1 << 40) => {
+            ((u64::from(alloc.0) + 1) << 40) | offset
+        }
+        // Unresolvable, or an id or offset too large for the encoding.
+        _ => addr | (1 << 63),
     }
 }
 
@@ -60,33 +69,23 @@ pub fn encode_address(space: MemSpace, addr: u64, table: &owl_host::AllocTable) 
 ///
 /// Attach it to a device (via `Rc<RefCell<…>>`), run the program, then
 /// [`take_graphs`](OwlTracer::take_graphs) to collect the per-launch
-/// graphs in launch order.
-#[derive(Debug)]
+/// graphs in launch order. It holds no view of the device: the memory
+/// callbacks hand it the launch's memory to resolve addresses against.
+#[derive(Debug, Default)]
 pub struct OwlTracer {
-    alloc_table: SharedAllocTable,
     current: Option<AdcfgBuilder>,
     finished: Vec<Adcfg>,
 }
 
 impl OwlTracer {
-    /// Creates a tracer that normalises global addresses through the given
-    /// shared allocation table (from [`owl_host::Device::alloc_table`]).
-    pub fn new(alloc_table: SharedAllocTable) -> Self {
-        OwlTracer {
-            alloc_table,
-            current: None,
-            finished: Vec::new(),
-        }
+    /// Creates a tracer that has observed no launch.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Removes and returns the completed per-launch graphs, oldest first.
     pub fn take_graphs(&mut self) -> Vec<Adcfg> {
         std::mem::take(&mut self.finished)
-    }
-
-    /// Number of completed kernel launches observed so far.
-    pub fn completed(&self) -> usize {
-        self.finished.len()
     }
 }
 
@@ -111,12 +110,11 @@ impl KernelHook for OwlTracer {
             .enter_block(warp_key(warp), bb.0);
     }
 
-    fn mem_access(&mut self, warp: WarpRef, event: &MemAccessEvent) {
-        let table = self.alloc_table.borrow();
+    fn mem_access(&mut self, warp: WarpRef, event: &MemAccessEvent, mem: &DeviceMemory) {
         let features = event
             .lane_addrs
             .iter()
-            .map(|&(_, addr)| encode_address(event.space, addr, &table));
+            .map(|&(_, addr)| encode_address(event.space, addr, mem));
         let builder = self.current.as_mut().expect("mem_access outside a kernel");
         builder.record_access(warp_key(warp), event.inst_idx, features);
         // The per-event microarchitectural cost (coalescing / bank
@@ -125,12 +123,10 @@ impl KernelHook for OwlTracer {
         builder.record_cost(warp_key(warp), event.inst_idx, event.cost_feature());
     }
 
-    fn mem_batch(&mut self, warp: WarpRef, batch: &MemEventBatch) {
+    fn mem_batch(&mut self, warp: WarpRef, batch: &MemEventBatch, mem: &DeviceMemory) {
         // Bulk path: every event in a batch belongs to the same warp and
-        // basic-block visit, so one alloc-table borrow and one
-        // block-recorder resolution cover the whole batch; the costs
-        // arrive pre-computed in the descriptors.
-        let table = self.alloc_table.borrow();
+        // basic-block visit, so one block-recorder resolution covers the
+        // whole batch; the costs arrive pre-computed in the descriptors.
         let builder = self.current.as_mut().expect("mem_batch outside a kernel");
         let mut rec = builder.block_recorder(warp_key(warp));
         for (desc, lanes) in batch.events() {
@@ -138,7 +134,7 @@ impl KernelHook for OwlTracer {
                 desc.inst_idx,
                 lanes
                     .iter()
-                    .map(|&(_, addr)| encode_address(desc.space, addr, &table)),
+                    .map(|&(_, addr)| encode_address(desc.space, addr, mem)),
             );
             rec.cost(desc.inst_idx, desc.cost);
         }
@@ -168,7 +164,7 @@ mod tests {
     #[test]
     fn one_graph_per_launch() {
         let mut dev = Device::new();
-        let tracer = Rc::new(RefCell::new(OwlTracer::new(dev.alloc_table())));
+        let tracer = Rc::new(RefCell::new(OwlTracer::new()));
         dev.attach_hook(tracer.clone());
         let t = dev.malloc(4 * 32);
         let o = dev.malloc(4 * 32);
@@ -187,7 +183,7 @@ mod tests {
         // The same program under plain layout and under ASLR must produce
         // identical A-DCFGs thanks to offset normalisation.
         let run = |mut dev: Device| {
-            let tracer = Rc::new(RefCell::new(OwlTracer::new(dev.alloc_table())));
+            let tracer = Rc::new(RefCell::new(OwlTracer::new()));
             dev.attach_hook(tracer.clone());
             let t = dev.malloc(4 * 32);
             let o = dev.malloc(4 * 32);
@@ -212,22 +208,43 @@ mod tests {
         let mut dev = Device::new();
         let a = dev.malloc(64);
         let b = dev.malloc(64);
-        let table = dev.alloc_table();
-        let table = table.borrow();
-        let fa = encode_address(MemSpace::Global, a.addr() + 8, &table);
-        let fb = encode_address(MemSpace::Global, b.addr() + 8, &table);
+        let mem = dev.memory();
+        let fa = encode_address(MemSpace::Global, a.addr() + 8, mem);
+        let fb = encode_address(MemSpace::Global, b.addr() + 8, mem);
         assert_ne!(fa, fb, "different allocations, different features");
         // Same offset within the same allocation → same feature.
-        assert_eq!(fa, encode_address(MemSpace::Global, a.addr() + 8, &table));
+        assert_eq!(fa, encode_address(MemSpace::Global, a.addr() + 8, mem));
         // Shared-space addresses pass through.
-        assert_eq!(encode_address(MemSpace::Shared, 40, &table), 40);
+        assert_eq!(encode_address(MemSpace::Shared, 40, mem), 40);
     }
 
     #[test]
     fn unresolved_global_address_is_tagged() {
         let dev = Device::new();
-        let table = dev.alloc_table();
-        let f = encode_address(MemSpace::Global, 0x1234, &table.borrow());
+        let f = encode_address(MemSpace::Global, 0x1234, dev.memory());
         assert_ne!(f & (1 << 63), 0);
+    }
+
+    #[test]
+    fn largest_packable_allocation_id_packs() {
+        // `id + 1` fills all 23 bits of the field and leaves the tag bit clear.
+        let id = AllocId((1 << 23) - 2);
+        assert_eq!(
+            pack_global(0x7_0000_0005, Some((id, 5))),
+            (0x7f_ffff << 40) | 5
+        );
+    }
+
+    #[test]
+    fn allocation_ids_beyond_the_field_are_tagged() {
+        // Truncating `id + 1` to 23 bits would alias these: id 2^23 − 1
+        // into the tag bit itself, id u32::MAX into a different allocation.
+        for id in [(1 << 23) - 1, u32::MAX] {
+            assert_eq!(
+                pack_global(0x7_0000_0040, Some((AllocId(id), 0x40))),
+                0x7_0000_0040 | (1 << 63),
+                "id {id}"
+            );
+        }
     }
 }

@@ -31,16 +31,13 @@ pub(crate) const CANCEL_CHECK_STRIDE: u32 = 64;
 /// Counters describing one completed launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LaunchStats {
-    /// Dynamic instructions executed (counted once per warp, as a SIMD
-    /// unit, matching how a tracer observes them).
-    pub instructions: u64,
     /// Number of CTAs executed.
     pub ctas: u64,
     /// Number of non-empty warps executed.
     pub warps: u64,
-    /// Detailed execution counters (divergence, reconvergence, memory
-    /// transactions, bank conflicts, …) accumulated by the interpreter.
-    /// `counters.instructions` always equals `instructions`.
+    /// Detailed execution counters (dynamic instructions, divergence,
+    /// reconvergence, memory transactions, bank conflicts, …) accumulated
+    /// by the interpreter.
     pub counters: SimCounters,
 }
 
@@ -48,7 +45,6 @@ impl LaunchStats {
     /// Accumulates another launch's statistics into this one (used by the
     /// host runtime to keep per-device running totals).
     pub fn accumulate(&mut self, other: &LaunchStats) {
-        self.instructions += other.instructions;
         self.ctas += other.ctas;
         self.warps += other.warps;
         self.counters.merge(&other.counters);
@@ -259,7 +255,6 @@ pub fn launch_with_options(
         }
     }
 
-    stats.instructions = counters.instructions;
     stats.counters = counters;
     hook.kernel_end(&info);
     Ok(stats)
@@ -307,7 +302,7 @@ mod tests {
         }
         assert_eq!(stats.ctas, 1);
         assert_eq!(stats.warps, 1);
-        assert!(stats.instructions > 0);
+        assert!(stats.counters.instructions > 0);
     }
 
     /// A partial warp (block of 40 threads = warp of 32 + warp of 8) only
@@ -454,7 +449,6 @@ mod tests {
         )
         .unwrap();
         let c = stats.counters;
-        assert_eq!(c.instructions, stats.instructions);
         assert_eq!(c.divergence_events, 1);
         assert_eq!(c.reconvergences, 1);
         assert!(c.branches >= 1);

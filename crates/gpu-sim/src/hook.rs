@@ -9,6 +9,7 @@
 
 use crate::grid::{Dim3, LaunchConfig};
 use crate::isa::MemSpace;
+use crate::mem::DeviceMemory;
 use crate::program::BlockId;
 use serde::{Deserialize, Serialize};
 
@@ -289,6 +290,12 @@ impl LaunchInfo {
 /// observe. An instrumented execution with [`NullHook`] behaves identically
 /// to an uninstrumented one — dynamic binary instrumentation must not
 /// perturb program semantics.
+///
+/// The memory callbacks receive the launch's [`DeviceMemory`], read-only,
+/// so a hook can resolve raw global addresses with
+/// [`DeviceMemory::resolve`]. Kernels cannot allocate or free, so the
+/// allocation map is fixed for the duration of a launch: resolving when a
+/// batch is flushed gives the same answer as resolving at the access.
 pub trait KernelHook {
     /// A kernel is about to execute.
     fn kernel_begin(&mut self, info: &LaunchInfo) {
@@ -306,8 +313,8 @@ pub trait KernelHook {
     }
 
     /// A warp executed a memory access instruction.
-    fn mem_access(&mut self, warp: WarpRef, event: &MemAccessEvent) {
-        let _ = (warp, event);
+    fn mem_access(&mut self, warp: WarpRef, event: &MemAccessEvent, mem: &DeviceMemory) {
+        let _ = (warp, event, mem);
     }
 
     /// A warp finished a basic block that executed memory accesses; the
@@ -316,7 +323,7 @@ pub trait KernelHook {
     /// against the per-event callback observe an identical stream.
     /// Bulk consumers (the Owl tracer) override this to read the flat
     /// layout directly.
-    fn mem_batch(&mut self, warp: WarpRef, batch: &MemEventBatch) {
+    fn mem_batch(&mut self, warp: WarpRef, batch: &MemEventBatch, mem: &DeviceMemory) {
         for (desc, lanes) in batch.events() {
             let event = MemAccessEvent {
                 bb: desc.bb,
@@ -325,7 +332,7 @@ pub trait KernelHook {
                 kind: desc.kind,
                 lane_addrs: lanes.to_vec(),
             };
-            self.mem_access(warp, &event);
+            self.mem_access(warp, &event, mem);
         }
     }
 }
@@ -335,7 +342,7 @@ pub trait KernelHook {
 pub struct NullHook;
 
 impl KernelHook for NullHook {
-    fn mem_batch(&mut self, _warp: WarpRef, _batch: &MemEventBatch) {}
+    fn mem_batch(&mut self, _warp: WarpRef, _batch: &MemEventBatch, _mem: &DeviceMemory) {}
 }
 
 /// A hook that buffers every event, useful in tests and as a building block
@@ -359,7 +366,7 @@ impl KernelHook for RecordingHook {
         self.bb_entries.push((warp, bb));
     }
 
-    fn mem_access(&mut self, warp: WarpRef, event: &MemAccessEvent) {
+    fn mem_access(&mut self, warp: WarpRef, event: &MemAccessEvent, _mem: &DeviceMemory) {
         self.accesses.push((warp, event.clone()));
     }
 }
@@ -508,7 +515,7 @@ mod tests {
 
         // The default trait impl materialises the same per-event stream.
         let mut h = RecordingHook::default();
-        h.mem_batch(w, &batch);
+        h.mem_batch(w, &batch, &DeviceMemory::new());
         assert_eq!(h.accesses.len(), 2);
         let first = &h.accesses[0].1;
         assert_eq!(first.lane_addrs, vec![(0, 0), (1, 64), (2, 128), (3, 192)]);

@@ -141,7 +141,8 @@ pub struct DeviceMemory {
     allocs: Vec<Allocation>,
     /// Index of the most recently hit allocation. Per-lane accesses are
     /// heavily clustered within one buffer, so checking this entry first
-    /// skips the binary search on almost every load/store. Interior
+    /// skips the binary search on almost every load/store and on almost
+    /// every lane a hook resolves. Interior
     /// mutability is sound here: the owning `Device` is `!Send + !Sync`
     /// (asserted in `owl-host`), so no concurrent access exists.
     hot: Cell<usize>,

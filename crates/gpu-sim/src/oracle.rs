@@ -353,7 +353,7 @@ impl<'p> OracleWarp<'p> {
             lane_addrs,
         };
         event.apply_counters(env.counters);
-        env.hook.mem_access(self.warp_ref, &event);
+        env.hook.mem_access(self.warp_ref, &event, env.mem);
     }
 
     #[allow(clippy::too_many_lines)]
@@ -749,7 +749,6 @@ pub fn launch_oracle(
         }
     }
 
-    stats.instructions = counters.instructions;
     stats.counters = counters;
     hook.kernel_end(&info);
     Ok(stats)
@@ -970,7 +969,6 @@ mod tests {
         )
         .unwrap();
         let c = stats.counters;
-        assert_eq!(c.instructions, stats.instructions);
         assert_eq!(c.divergence_events, 1);
         assert_eq!(c.reconvergences, 1);
         assert_eq!(c.mem_accesses, 3);

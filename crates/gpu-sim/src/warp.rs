@@ -445,13 +445,13 @@ impl<'p> WarpExec<'p> {
         }
     }
 
-    /// Delivers the block's buffered memory events to the hook in one
-    /// virtual call. Must run before control leaves the block — on
-    /// success *and* on error — so hooks observe the same event stream
-    /// the per-instruction callbacks produced.
+    /// Delivers the block's buffered memory events, with the launch's
+    /// memory, to the hook in one virtual call. Must run before control
+    /// leaves the block — on success *and* on error — so hooks observe the
+    /// same event stream the per-instruction callbacks produced.
     fn flush_batch(&self, env: &mut ExecEnv<'_>) {
         if !env.batch.is_empty() {
-            env.hook.mem_batch(self.warp_ref, env.batch);
+            env.hook.mem_batch(self.warp_ref, env.batch, env.mem);
             env.batch.clear();
         }
     }

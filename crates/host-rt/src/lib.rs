@@ -141,8 +141,6 @@ pub enum HostEvent {
         kernel: String,
         /// Launch geometry.
         config: LaunchConfig,
-        /// Sequence number of this launch within the program run.
-        seq: u32,
     },
 }
 
@@ -216,69 +214,6 @@ const _: () = {
     assert_send_sync::<HostError>();
 };
 
-/// A live snapshot of the device's global allocations, shared with tracers
-/// so they can normalise raw addresses to `(allocation, offset)` *during*
-/// instrumentation callbacks (when the device itself is busy executing).
-///
-/// The [`Device`] keeps its shared table current on every `malloc`/`free`;
-/// obtain a handle with [`Device::alloc_table`].
-#[derive(Debug, Clone, Default)]
-pub struct AllocTable {
-    /// `(base, size, id)` sorted by base.
-    ranges: Vec<(u64, u64, AllocId)>,
-    /// Index of the most recently resolved range. Warp lanes resolve runs
-    /// of addresses inside one buffer, so checking this entry first skips
-    /// the binary search for most lanes. Sound under shared (`&self`)
-    /// access: the table lives in an `Rc<RefCell<…>>` on one thread.
-    hot: std::cell::Cell<usize>,
-}
-
-impl AllocTable {
-    /// Resolves a raw global address to `(allocation, offset)`.
-    pub fn resolve(&self, addr: u64) -> Option<(AllocId, u64)> {
-        if let Some(&(base, size, id)) = self.ranges.get(self.hot.get()) {
-            if addr >= base && addr - base < size {
-                return Some((id, addr - base));
-            }
-        }
-        let idx = self
-            .ranges
-            .partition_point(|&(base, _, _)| base <= addr)
-            .checked_sub(1)?;
-        let &(base, size, id) = &self.ranges[idx];
-        if addr - base < size {
-            self.hot.set(idx);
-            Some((id, addr - base))
-        } else {
-            None
-        }
-    }
-
-    fn insert(&mut self, base: u64, size: u64, id: AllocId) {
-        let idx = self.ranges.partition_point(|&(b, _, _)| b < base);
-        self.ranges.insert(idx, (base, size, id));
-    }
-
-    fn remove(&mut self, base: u64) {
-        self.ranges.retain(|&(b, _, _)| b != base);
-        // Indices may have shifted; drop the stale hot entry.
-        self.hot.set(0);
-    }
-
-    /// Number of live allocations in the table.
-    pub fn len(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// `true` when no allocation is live.
-    pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
-    }
-}
-
-/// A shareable handle to the live [`AllocTable`].
-pub type SharedAllocTable = Rc<RefCell<AllocTable>>;
-
 /// The host-side handle to one simulated GPU.
 ///
 /// Records the host event trace (always on — recording is how the Pin side
@@ -288,8 +223,6 @@ pub struct Device {
     mem: DeviceMemory,
     events: Vec<HostEvent>,
     hook: Option<SharedHook>,
-    alloc_table: SharedAllocTable,
-    launch_seq: u32,
     launch_options: LaunchOptions,
     total_stats: LaunchStats,
 }
@@ -317,8 +250,6 @@ impl Device {
             mem: DeviceMemory::new(),
             events: Vec::new(),
             hook: None,
-            alloc_table: Rc::new(RefCell::new(AllocTable::default())),
-            launch_seq: 0,
             launch_options: LaunchOptions::default(),
             total_stats: LaunchStats::default(),
         }
@@ -329,12 +260,6 @@ impl Device {
         let mut d = Self::new();
         d.mem.enable_aslr(seed);
         d
-    }
-
-    /// A live, shareable view of the global allocation table — what a
-    /// tracer needs to normalise addresses during instrumentation.
-    pub fn alloc_table(&self) -> SharedAllocTable {
-        Rc::clone(&self.alloc_table)
     }
 
     /// Attaches a device-side instrumentation hook; subsequent launches
@@ -359,9 +284,6 @@ impl Device {
     pub fn malloc(&mut self, size: usize) -> DevicePtr {
         let call_site = CallSite::here(Location::caller());
         let (alloc, addr) = self.mem.alloc(size);
-        self.alloc_table
-            .borrow_mut()
-            .insert(addr, size as u64, alloc);
         self.events.push(HostEvent::Malloc {
             call_site,
             alloc,
@@ -380,7 +302,6 @@ impl Device {
         if !self.mem.free(ptr.addr) {
             return Err(HostError::InvalidFree { addr: ptr.addr });
         }
-        self.alloc_table.borrow_mut().remove(ptr.addr);
         self.events.push(HostEvent::Free { alloc: ptr.alloc });
         Ok(())
     }
@@ -438,9 +359,7 @@ impl Device {
             call_site,
             kernel: program.name.clone(),
             config,
-            seq: self.launch_seq,
         });
-        self.launch_seq += 1;
         let stats = match &self.hook {
             Some(hook) => {
                 let hook = Rc::clone(hook);
@@ -472,14 +391,9 @@ impl Device {
         &self.events
     }
 
-    /// Clears the recorded host trace (e.g. between runs).
-    pub fn clear_events(&mut self) {
-        self.events.clear();
-        self.launch_seq = 0;
-    }
-
     /// Resolves a raw device address to `(allocation, offset)` — the
-    /// normalisation that removes (simulated) ASLR from traces.
+    /// normalisation that removes (simulated) ASLR from traces. It reads
+    /// the same allocation map hooks receive during a launch.
     pub fn resolve(&self, addr: u64) -> Option<(AllocId, u64)> {
         self.mem.resolve(addr)
     }
@@ -489,8 +403,9 @@ impl Device {
         self.total_stats
     }
 
-    /// Direct access to device memory, for assertions in tests and for the
-    /// baselines that bypass the runtime.
+    /// Read-only access to device memory: the view a [`KernelHook`]
+    /// receives during a launch, which tests use to resolve addresses the
+    /// way a hook does.
     pub fn memory(&self) -> &DeviceMemory {
         &self.mem
     }
@@ -553,10 +468,7 @@ mod tests {
             other => panic!("expected malloc, got {other:?}"),
         }
         match &dev.events()[1] {
-            HostEvent::Launch { kernel, seq, .. } => {
-                assert_eq!(kernel, "square");
-                assert_eq!(*seq, 0);
-            }
+            HostEvent::Launch { kernel, .. } => assert_eq!(kernel, "square"),
             other => panic!("expected launch, got {other:?}"),
         }
     }
@@ -701,40 +613,15 @@ mod tests {
     }
 
     #[test]
-    fn clear_events_resets_sequence() {
-        let mut dev = Device::new();
-        let buf = dev.malloc(8 * 32);
-        dev.launch(
-            &square_kernel(),
-            LaunchConfig::new(1u32, 32u32),
-            &[buf.addr()],
-        )
-        .unwrap();
-        dev.clear_events();
-        assert!(dev.events().is_empty());
-        dev.launch(
-            &square_kernel(),
-            LaunchConfig::new(1u32, 32u32),
-            &[buf.addr()],
-        )
-        .unwrap();
-        match dev.events() {
-            [HostEvent::Launch { seq, .. }] => assert_eq!(*seq, 0),
-            other => panic!("expected one launch, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn total_stats_accumulate() {
         let mut dev = Device::new();
         let buf = dev.malloc(8 * 32);
         let k = square_kernel();
         dev.launch(&k, LaunchConfig::new(1u32, 32u32), &[buf.addr()])
             .unwrap();
-        let after_one = dev.total_stats().instructions;
+        let after_one = dev.total_stats().counters.instructions;
         dev.launch(&k, LaunchConfig::new(1u32, 32u32), &[buf.addr()])
             .unwrap();
-        assert_eq!(dev.total_stats().instructions, after_one * 2);
         assert_eq!(dev.total_stats().warps, 2);
         let c = dev.total_stats().counters;
         assert_eq!(c.instructions, after_one * 2);

@@ -23,10 +23,11 @@ proptest! {
         prop_assert_eq!(out, data);
     }
 
-    /// Allocation tables resolve every in-bounds address and reject every
-    /// out-of-bounds one, under any allocation pattern and ASLR seed.
+    /// Address resolution maps every in-bounds address to its allocation
+    /// and rejects every out-of-bounds one, under any allocation pattern
+    /// and ASLR seed.
     #[test]
-    fn alloc_table_resolution_is_exact(
+    fn address_resolution_is_exact(
         sizes in prop::collection::vec(1usize..256, 1..10),
         aslr in prop::option::of(any::<u64>()),
     ) {
@@ -35,16 +36,14 @@ proptest! {
             None => Device::new(),
         };
         let ptrs: Vec<_> = sizes.iter().map(|&s| (dev.malloc(s), s)).collect();
-        let table = dev.alloc_table();
-        let table = table.borrow();
         for (ptr, size) in &ptrs {
             // First, middle, and last bytes resolve to the right allocation.
             for off in [0, (size - 1) / 2, size - 1] {
-                let got = table.resolve(ptr.addr() + off as u64);
+                let got = dev.resolve(ptr.addr() + off as u64);
                 prop_assert_eq!(got, Some((ptr.alloc(), off as u64)));
             }
             // One past the end never resolves into this allocation.
-            if let Some((id, _)) = table.resolve(ptr.addr() + *size as u64) {
+            if let Some((id, _)) = dev.resolve(ptr.addr() + *size as u64) {
                 prop_assert_ne!(id, ptr.alloc());
             }
         }
