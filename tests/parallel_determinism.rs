@@ -1,10 +1,23 @@
 //! The parallel evidence pipeline's determinism contract: `detect()` must
 //! produce bit-identical results for every `parallelism` setting, with and
-//! without simulated ASLR, on leaky and clean workloads alike.
+//! without simulated ASLR, on leaky and clean workloads alike. The
+//! replication audit checks the `deterministic_host` claims that let a
+//! detection record a fixed class once and replicate it.
 
-use owl::core::{detect, Detection, DetectionSummary, OwlConfig, TracedProgram, Verdict};
-use owl::workloads::aes::AesTTable;
-use owl::workloads::rsa::RsaLadder;
+use owl::core::{
+    detect, fix_stream, Detection, DetectionSummary, OwlConfig, ProgramTrace, Recorder, RunSpec,
+    SimCounters, TracedProgram, Verdict,
+};
+use owl::workloads::aes::{AesScan, AesTTable};
+use owl::workloads::coalescing::CoalescingStride;
+use owl::workloads::dummy::{DummySbox, NoiseDummy};
+use owl::workloads::histogram::{HistogramDirect, HistogramOblivious};
+use owl::workloads::jpeg::{JpegDecode, JpegEncode, JpegEncodeFixedLength};
+use owl::workloads::mlp::MlpHiddenWidth;
+use owl::workloads::render::GlyphRender;
+use owl::workloads::rsa::{RsaLadder, RsaSquareMultiply};
+use owl::workloads::search::{BinarySearchEarlyExit, BinarySearchFixedDepth};
+use owl::workloads::torch::{TorchFunction, TorchOpKind};
 
 fn config(parallelism: usize, aslr_seed: Option<u64>) -> OwlConfig {
     OwlConfig {
@@ -133,4 +146,81 @@ fn evidence_worker_count_is_clamped_to_the_item_count() {
         max_items
     );
     assert!(detection.stats.evidence_workers >= 1);
+}
+
+/// Records one fixed input of `program` as class 0's fixed evidence at run
+/// indices 0, 1 and 7, each with the default recorder and ASLR off: the
+/// runs a replicated detection skips.
+fn fixed_runs<P: TracedProgram>(program: &P) -> Vec<(ProgramTrace, SimCounters)> {
+    let input = program.random_input(0);
+    [0, 1, 7]
+        .into_iter()
+        .map(|run_index| {
+            let spec = RunSpec {
+                stream: fix_stream(0),
+                run_index,
+                ..RunSpec::default()
+            };
+            Recorder::default()
+                .record(program, &input, &spec)
+                .result
+                .unwrap_or_else(|e| panic!("{}: run {run_index} failed: {e}", program.name()))
+        })
+        .collect()
+}
+
+/// `true` when every fixed run of `program` reproduces the first one's
+/// trace, digest and counters exactly.
+fn replicates<P: TracedProgram>(program: &P) -> bool {
+    let runs = fixed_runs(program);
+    let (first, first_counters) = &runs[0];
+    runs.iter().all(|(trace, counters)| {
+        trace == first && trace.digest() == first.digest() && counters == first_counters
+    })
+}
+
+/// Asserts `program` claims a deterministic host and that the claim holds.
+fn assert_replicates<P: TracedProgram>(program: &P) {
+    assert!(
+        program.deterministic_host(),
+        "{} no longer claims a deterministic host",
+        program.name()
+    );
+    assert!(
+        replicates(program),
+        "{} claims a deterministic host, but its fixed runs differ",
+        program.name()
+    );
+}
+
+#[test]
+fn every_deterministic_host_replicates_its_fixed_runs() {
+    assert_replicates(&AesTTable::new(32));
+    assert_replicates(&AesScan::with_rounds(1, 1));
+    assert_replicates(&HistogramDirect::new(64));
+    assert_replicates(&HistogramOblivious::new(64));
+    assert_replicates(&BinarySearchEarlyExit::new(32));
+    assert_replicates(&BinarySearchFixedDepth::new(32));
+    assert_replicates(&RsaSquareMultiply::new(32));
+    assert_replicates(&RsaLadder::new(32));
+    assert_replicates(&CoalescingStride::new());
+    assert_replicates(&MlpHiddenWidth::new());
+    assert_replicates(&JpegEncode::new(16, 16));
+    assert_replicates(&JpegEncodeFixedLength::new(16, 16));
+    assert_replicates(&JpegDecode::new(16, 16));
+    assert_replicates(&DummySbox::new(64));
+    assert_replicates(&GlyphRender::new());
+    for kind in TorchOpKind::ALL {
+        assert_replicates(&TorchFunction::new(kind));
+    }
+}
+
+#[test]
+fn an_impure_host_does_not_replicate() {
+    let noise = NoiseDummy::new();
+    assert!(!noise.deterministic_host());
+    assert!(
+        !replicates(&noise),
+        "the per-run nonce must make fixed runs differ"
+    );
 }
