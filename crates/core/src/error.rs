@@ -34,9 +34,10 @@ impl std::fmt::Display for DetectPhase {
 }
 
 /// Where a failed run sat in the detection: which phase, which recording
-/// stream, which run, and which retry attempt — everything needed to name
-/// the failure and to reproduce it (runs are pure functions of their
-/// [`RunSpec`](crate::record::RunSpec)).
+/// stream and which run — everything needed to name the failure and to
+/// reproduce it (runs are pure functions of their
+/// [`RunSpec`](crate::record::RunSpec)). The retry attempt that lost lives
+/// in the [`FaultRecord`](crate::fault::FaultRecord) holding the context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunContext {
     /// The detector phase.
@@ -48,8 +49,6 @@ pub struct RunContext {
     pub stream: u64,
     /// The run's index within its stream.
     pub run_index: u64,
-    /// The retry attempt the error belongs to (0 = first try).
-    pub attempt: u32,
 }
 
 impl std::fmt::Display for RunContext {
@@ -61,9 +60,6 @@ impl std::fmt::Display for RunContext {
         )?;
         if let Some(class) = self.class {
             write!(f, ", class {class}")?;
-        }
-        if self.attempt > 0 {
-            write!(f, ", attempt {}", self.attempt)?;
         }
         Ok(())
     }
@@ -108,47 +104,9 @@ pub enum DetectError {
     /// deadline. Cancellation always drops *whole* runs, so surviving
     /// evidence stays deterministic.
     Cancelled,
-    /// An error bundled with the run it struck — says *which* run failed,
-    /// not just what the program printed.
-    Run {
-        /// The failed run's identity.
-        context: RunContext,
-        /// The underlying failure.
-        source: Box<DetectError>,
-    },
 }
 
 impl DetectError {
-    /// Wraps the error with the run it struck. A [`DetectError::Run`]
-    /// wrapper is re-contextualised rather than nested.
-    #[must_use]
-    pub fn with_context(self, context: RunContext) -> DetectError {
-        match self {
-            DetectError::Run { source, .. } => DetectError::Run { context, source },
-            other => DetectError::Run {
-                context,
-                source: Box::new(other),
-            },
-        }
-    }
-
-    /// The run context, when the error carries one.
-    pub fn context(&self) -> Option<&RunContext> {
-        match self {
-            DetectError::Run { context, .. } => Some(context),
-            _ => None,
-        }
-    }
-
-    /// The innermost error, with any [`DetectError::Run`] wrapper peeled
-    /// off.
-    pub fn root(&self) -> &DetectError {
-        match self {
-            DetectError::Run { source, .. } => source.root(),
-            other => other,
-        }
-    }
-
     /// A stable snake_case tag naming the failure, drilling through the
     /// host/exec layers — the key fault logs and retry classifiers switch
     /// on.
@@ -175,7 +133,6 @@ impl DetectError {
             DetectError::WorkerPanic { .. } => "worker_panic",
             DetectError::BudgetExhausted { .. } => "budget_exhausted",
             DetectError::Cancelled => "cancelled",
-            DetectError::Run { source, .. } => source.kind(),
         }
     }
 }
@@ -201,7 +158,6 @@ impl std::fmt::Display for DetectError {
             DetectError::Cancelled => {
                 write!(f, "run cancelled (caller cancellation or deadline)")
             }
-            DetectError::Run { context, source } => write!(f, "run failed [{context}]: {source}"),
         }
     }
 }
@@ -210,7 +166,6 @@ impl std::error::Error for DetectError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             DetectError::Host(e) => Some(e),
-            DetectError::Run { source, .. } => Some(source),
             _ => None,
         }
     }
@@ -227,41 +182,6 @@ mod tests {
     use super::*;
     use owl_gpu::ExecError;
 
-    fn ctx() -> RunContext {
-        RunContext {
-            phase: DetectPhase::Evidence,
-            class: Some(2),
-            stream: 4,
-            run_index: 17,
-            attempt: 1,
-        }
-    }
-
-    #[test]
-    fn contextual_display_names_the_run() {
-        let e = DetectError::Host(HostError::Launch(ExecError::FuelExhausted)).with_context(ctx());
-        let text = e.to_string();
-        assert!(text.contains("phase evidence"), "{text}");
-        assert!(text.contains("stream 4"), "{text}");
-        assert!(text.contains("run 17"), "{text}");
-        assert!(text.contains("class 2"), "{text}");
-        assert!(text.contains("attempt 1"), "{text}");
-        assert!(text.contains("instruction budget exhausted"), "{text}");
-    }
-
-    #[test]
-    fn with_context_does_not_nest() {
-        let e = DetectError::NoInputs
-            .with_context(ctx())
-            .with_context(ctx());
-        assert_eq!(e.context(), Some(&ctx()));
-        assert_eq!(e.root(), &DetectError::NoInputs);
-        match e {
-            DetectError::Run { source, .. } => assert_eq!(*source, DetectError::NoInputs),
-            other => panic!("expected Run wrapper, got {other:?}"),
-        }
-    }
-
     #[test]
     fn kinds_are_stable_and_drill_through_layers() {
         let launch = |e| DetectError::Host(HostError::Launch(e));
@@ -270,9 +190,7 @@ mod tests {
             "exec_fuel_exhausted"
         );
         assert_eq!(
-            launch(ExecError::BarrierDeadlock)
-                .with_context(ctx())
-                .kind(),
+            launch(ExecError::BarrierDeadlock).kind(),
             "exec_barrier_deadlock"
         );
         assert_eq!(

@@ -14,10 +14,10 @@
 //!   caught and become [`DetectError::WorkerPanic`], so a crashing program
 //!   can never abort the detection or poison the fan-out; the loop's
 //!   outcome is a [`RunAttempt`].
-//! * [`FaultRecord`] / [`FaultLog`] — runs that exhaust their retries are
-//!   *quarantined*: excluded from the evidence with a typed, serializable
-//!   record of what failed where. The log is deterministic — records
-//!   appear in run order, never in completion order.
+//! * [`FaultRecord`] — runs that exhaust their retries are *quarantined*:
+//!   excluded from the evidence with a typed, serializable record of what
+//!   failed where. A detection's fault log is a plain `Vec<FaultRecord>`
+//!   in run order, never in completion order, so it is deterministic.
 
 use crate::error::{DetectError, RunContext};
 use crate::trace::ProgramTrace;
@@ -96,9 +96,12 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// One quarantined run: its identity, how many attempts it consumed, and
 /// the error of the last attempt.
+///
+/// Renders as `run failed [<context>[, attempt k]]: <error>`, where `k` is
+/// the last, losing attempt (shown only when the run was retried).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultRecord {
-    /// The failed run (the `attempt` field is the last, losing attempt).
+    /// The failed run.
     pub context: RunContext,
     /// Attempts consumed before quarantine.
     pub attempts: u32,
@@ -106,10 +109,13 @@ pub struct FaultRecord {
     pub error: DetectError,
 }
 
-impl FaultRecord {
-    /// The failure as a contextual [`DetectError`] (for error reporting).
-    pub fn to_error(&self) -> DetectError {
-        self.error.clone().with_context(self.context)
+impl std::fmt::Display for FaultRecord {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "run failed [{}", self.context)?;
+        if self.attempts > 1 {
+            write!(f, ", attempt {}", self.attempts - 1)?;
+        }
+        write!(f, "]: {}", self.error)
     }
 }
 
@@ -137,67 +143,6 @@ impl Serialize for FaultRecord {
             (key("error_kind"), Value::Str(self.error.kind().into())),
             (key("error"), Value::Str(self.error.to_string())),
         ])
-    }
-}
-
-/// The quarantine log of one detection: every run that exhausted its
-/// retries, in deterministic run order (phase 1 inputs first, then
-/// evidence items in chunk order, then analysis classes).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FaultLog {
-    records: Vec<FaultRecord>,
-}
-
-impl FaultLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        FaultLog::default()
-    }
-
-    /// Appends a quarantined run.
-    pub fn push(&mut self, record: FaultRecord) {
-        self.records.push(record);
-    }
-
-    /// Appends every record of `other`, preserving order.
-    pub fn extend(&mut self, other: FaultLog) {
-        self.records.extend(other.records);
-    }
-
-    /// The quarantined runs, in run order.
-    pub fn records(&self) -> &[FaultRecord] {
-        &self.records
-    }
-
-    /// Number of quarantined runs.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// `true` when nothing was quarantined.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Iterates the quarantined runs in run order.
-    pub fn iter(&self) -> std::slice::Iter<'_, FaultRecord> {
-        self.records.iter()
-    }
-}
-
-impl Serialize for FaultLog {
-    /// A flat JSON array of records (see [`FaultRecord`]'s format).
-    fn to_value(&self) -> Value {
-        Value::Seq(self.records.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<'a> IntoIterator for &'a FaultLog {
-    type Item = &'a FaultRecord;
-    type IntoIter = std::slice::Iter<'a, FaultRecord>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.records.iter()
     }
 }
 
@@ -282,21 +227,50 @@ mod tests {
     }
 
     #[test]
+    fn fault_record_renders_the_run_and_the_losing_attempt() {
+        let record = FaultRecord {
+            context: RunContext {
+                phase: DetectPhase::Evidence,
+                class: Some(2),
+                stream: 4,
+                run_index: 17,
+            },
+            attempts: 2,
+            error: DetectError::Host(owl_host::HostError::Launch(
+                owl_gpu::ExecError::FuelExhausted,
+            )),
+        };
+        assert_eq!(
+            record.to_string(),
+            "run failed [phase evidence, stream 4, run 17, class 2, attempt 1]: \
+             program under test failed: kernel launch failed: instruction budget exhausted"
+        );
+        // A first-try loss names no attempt.
+        let first_try = FaultRecord {
+            attempts: 1,
+            ..record
+        };
+        assert_eq!(
+            first_try.to_string(),
+            "run failed [phase evidence, stream 4, run 17, class 2]: \
+             program under test failed: kernel launch failed: instruction budget exhausted"
+        );
+    }
+
+    #[test]
     fn fault_log_serializes_records_in_order() {
-        let mut log = FaultLog::new();
-        log.push(FaultRecord {
+        let log = vec![FaultRecord {
             context: RunContext {
                 phase: DetectPhase::Evidence,
                 class: None,
                 stream: 1,
                 run_index: 3,
-                attempt: 2,
             },
             attempts: 3,
             error: DetectError::WorkerPanic {
                 message: "injected".into(),
             },
-        });
+        }];
         assert_eq!(log.len(), 1);
         let json = serde_json::to_string(&log).expect("json");
         assert!(json.contains("\"worker_panic\""), "{json}");

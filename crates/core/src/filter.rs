@@ -11,10 +11,8 @@ use std::collections::HashMap;
 /// One equivalence class of inputs.
 #[derive(Debug, Clone)]
 pub struct InputClass<I> {
-    /// A representative input (the first seen).
+    /// A representative input: the first seen, the one at `members[0]`.
     pub representative: I,
-    /// Index of the representative in the original input slice.
-    pub representative_index: usize,
     /// The class trace.
     pub trace: ProgramTrace,
     /// Indices of all member inputs.
@@ -61,7 +59,6 @@ pub fn filter_traces<I: Clone>(inputs: &[I], traces: Vec<ProgramTrace>) -> Filte
             candidates.push(classes.len());
             classes.push(InputClass {
                 representative: input.clone(),
-                representative_index: idx,
                 trace,
                 members: vec![idx],
             });

@@ -14,7 +14,10 @@
 //! The injectable faults cover the whole failure taxonomy the pipeline can
 //! meet: every [`ExecError`] variant (synthesized as a launch failure),
 //! host-runtime errors, an instrumentation trace-count mismatch (the hook
-//! is silently detached so device graphs go missing), and worker panics.
+//! is silently detached so device graphs go missing), worker panics, and
+//! the detector's own budget and deadline faults. All of them surface
+//! through [`TracedProgram::run_with_spec`], the one seam the recorder
+//! calls.
 
 use crate::error::DetectError;
 use crate::govern::ResourceKind;
@@ -124,9 +127,9 @@ pub enum InjectedFault {
     /// A worker panic in the middle of the run.
     Panic,
     /// A detector-level resource-budget exhaustion for the given resource,
-    /// raised *before* the run records (the governed recorder's seam) —
-    /// simulates a run the budget checker rejected without having to build
-    /// a program that actually overruns it.
+    /// raised instead of running the wrapped program — simulates a run the
+    /// budget checker rejected without having to build a program that
+    /// actually overruns it.
     BudgetExhausted(ResourceKind),
     /// A detector-level deadline expiry: the run fails as
     /// [`DetectError::Cancelled`], exactly like a run whose token fired
@@ -239,9 +242,10 @@ impl FaultPlan {
 /// A [`TracedProgram`] wrapper that deterministically injects faults from
 /// a [`FaultPlan`].
 ///
-/// Every recording hands the wrapper its [`RunSpec`], so injection keys on
-/// the run identity alone; only a direct [`TracedProgram::run`] call, with
-/// no spec, sees the inner program unmodified. The wrapper always reports
+/// Every recording hands the wrapper its [`RunSpec`] through
+/// [`TracedProgram::run_with_spec`], so injection keys on the run identity
+/// alone; only a direct [`TracedProgram::run`] call, with no spec, sees the
+/// inner program unmodified. The wrapper always reports
 /// `deterministic_host() == false`: injection keys on `(run_index,
 /// attempt)`, so fixed-input runs are *not* interchangeable and the
 /// record-once replication fast path must stay off.
@@ -284,15 +288,18 @@ impl<P: TracedProgram> TracedProgram for FaultyProgram<P> {
         device: &mut Device,
         input: &Self::Input,
         spec: &RunSpec,
-    ) -> Result<(), HostError> {
+    ) -> Result<(), DetectError> {
         match self.plan.fault_for(spec) {
             None => self.inner.run_with_spec(device, input, spec),
-            Some(InjectedFault::Exec(kind)) => Err(HostError::Launch(kind.synthesize())),
+            Some(InjectedFault::Exec(kind)) => Err(HostError::Launch(kind.synthesize()).into()),
             Some(InjectedFault::Memcpy) => Err(HostError::Memcpy(AccessError {
                 addr: 0xbad_c0de,
                 width: 16,
-            })),
-            Some(InjectedFault::InvalidFree) => Err(HostError::InvalidFree { addr: 0xbad_f4ee }),
+            })
+            .into()),
+            Some(InjectedFault::InvalidFree) => {
+                Err(HostError::InvalidFree { addr: 0xbad_f4ee }.into())
+            }
             Some(InjectedFault::TraceMismatch) => {
                 device.detach_hook();
                 self.inner.run_with_spec(device, input, spec)
@@ -301,12 +308,14 @@ impl<P: TracedProgram> TracedProgram for FaultyProgram<P> {
                 "injected panic at stream {} run {} attempt {}",
                 spec.stream, spec.run_index, spec.attempt
             ),
-            // Detector-level faults fire in `injected_detect_fault`, before
-            // the recorder ever calls the program; reaching here means the
-            // caller bypassed the recorder, which injection leaves untouched.
-            Some(InjectedFault::BudgetExhausted(_) | InjectedFault::DeadlineExpired) => {
-                self.inner.run_with_spec(device, input, spec)
-            }
+            Some(InjectedFault::BudgetExhausted(resource)) => Err(DetectError::BudgetExhausted {
+                resource,
+                // Synthesized magnitudes: any `used > limit` pair names the
+                // exhaustion without simulating real consumption.
+                used: 1,
+                limit: 0,
+            }),
+            Some(InjectedFault::DeadlineExpired) => Err(DetectError::Cancelled),
         }
     }
 
@@ -316,20 +325,6 @@ impl<P: TracedProgram> TracedProgram for FaultyProgram<P> {
 
     fn deterministic_host(&self) -> bool {
         false
-    }
-
-    fn injected_detect_fault(&self, spec: &RunSpec) -> Option<DetectError> {
-        match self.plan.fault_for(spec) {
-            Some(InjectedFault::BudgetExhausted(resource)) => Some(DetectError::BudgetExhausted {
-                resource,
-                // Synthesized magnitudes: any `used > limit` pair names the
-                // exhaustion without simulating real consumption.
-                used: 1,
-                limit: 0,
-            }),
-            Some(InjectedFault::DeadlineExpired) => Some(DetectError::Cancelled),
-            _ => None,
-        }
     }
 }
 

@@ -99,7 +99,7 @@ pub use analysis::{leakage_test, AnalysisConfig};
 pub use engine::{Engine, EngineComparison, EngineOutcome, EngineRow, EngineVerdict};
 pub use error::{DetectError, DetectPhase, RunContext};
 pub use evidence::Evidence;
-pub use fault::{FaultLog, FaultRecord, RetryPolicy, RunAttempt};
+pub use fault::{FaultRecord, RetryPolicy, RunAttempt};
 pub use filter::{filter_traces, FilterOutcome, InputClass};
 pub use govern::{CancelToken, ResourceBudget, ResourceKind};
 pub use inject::{ExecFaultKind, FaultPlan, FaultRule, FaultyProgram, InjectedFault};

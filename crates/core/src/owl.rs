@@ -4,7 +4,7 @@ use crate::analysis::{leakage_test, AnalysisConfig};
 use crate::engine::{Engine, EngineComparison};
 use crate::error::{DetectError, DetectPhase, RunContext};
 use crate::evidence::Evidence;
-use crate::fault::{FaultLog, FaultRecord, RetryPolicy, RunAttempt};
+use crate::fault::{FaultRecord, RetryPolicy, RunAttempt};
 use crate::filter::{filter_traces, FilterOutcome};
 use crate::govern::{CancelToken, ResourceBudget, ResourceKind};
 use crate::parallel::parallel_map;
@@ -68,8 +68,8 @@ pub struct OwlConfig {
     /// Retry policy for failed recordings. Each attempt re-records the run
     /// with the attempt index folded into its [`RunSpec`], so retries stay
     /// pure functions of their spec and the determinism contract holds.
-    /// Runs that exhaust the budget are quarantined into the detection's
-    /// [`FaultLog`] instead of aborting.
+    /// Runs that exhaust the budget are quarantined into
+    /// [`Detection::faults`] instead of aborting.
     pub retry: RetryPolicy,
     /// Minimum surviving runs per evidence set (the shared `E_rnd` and each
     /// class's `E_fix`) for the distribution tests to be trusted. Sets that
@@ -287,8 +287,11 @@ pub struct PhaseStats {
     pub evidence_workers: usize,
     /// Wall time of the distribution tests.
     pub test_time: Duration,
-    /// Peak resident trace size proxy: the largest evidence footprint held
-    /// at once, in bytes.
+    /// The merged random evidence plus the largest merged fixed evidence,
+    /// in bytes: the footprint of one class's distribution test. Not the
+    /// resident peak: the evidence phase holds every chunk's partial
+    /// evidence until the in-order merge, and every class's merged
+    /// evidence after it.
     pub peak_evidence_bytes: usize,
     /// Total wall time of the detection.
     pub total_time: Duration,
@@ -308,9 +311,9 @@ pub enum Verdict {
     /// certify a clean result: user inputs went unrecorded, an evidence
     /// set fell below the [quorum](OwlConfig::min_runs_per_set), or a
     /// class's distribution test was lost to a panic. Never silently
-    /// reported as clean — consult the [`FaultLog`]. (Leaks found on the
-    /// surviving evidence still yield [`Verdict::Leaky`]: missing data can
-    /// hide a leak, not fabricate one.)
+    /// reported as clean — consult [`Detection::faults`]. (Leaks found on
+    /// the surviving evidence still yield [`Verdict::Leaky`]: missing data
+    /// can hide a leak, not fabricate one.)
     Inconclusive,
 }
 
@@ -335,7 +338,7 @@ pub struct Detection<I> {
     /// Every run quarantined after exhausting its retries, in run order
     /// (phase-1 inputs, then evidence chunks, then analysis classes).
     /// Empty on a fault-free detection.
-    pub faults: FaultLog,
+    pub faults: Vec<FaultRecord>,
     /// Per-phase fault counters (retries, quarantines, caught panics).
     /// All-zero on a fault-free detection; merged associatively from
     /// per-chunk counters, so bit-identical for every `parallelism`.
@@ -367,7 +370,7 @@ struct ChunkOutcome {
     partial: Evidence,
     counters: SimCounters,
     fault_counters: PhaseFaultCounters,
-    faults: FaultLog,
+    faults: Vec<FaultRecord>,
     kept: usize,
     elapsed: Duration,
 }
@@ -395,7 +398,7 @@ struct Ledger {
     stats: PhaseStats,
     counters: SimCounters,
     spans: Spans,
-    faults: FaultLog,
+    faults: Vec<FaultRecord>,
     fault_counters: FaultCounters,
     /// A user input, a run below quorum, a class's test or the evidence
     /// budget was lost, so a clean result cannot be certified.
@@ -447,8 +450,7 @@ impl Ledger {
     }
 }
 
-/// The identity of a run (or class test) in the fault log; the attempt is
-/// filled in by [`fault_record`].
+/// The identity of a run (or class test) in the fault log.
 fn run_context(
     phase: DetectPhase,
     class: Option<usize>,
@@ -460,21 +462,6 @@ fn run_context(
         class,
         stream,
         run_index: run_index as u64,
-        attempt: 0,
-    }
-}
-
-/// The quarantine record of a lost run — the one place a [`FaultRecord`]
-/// is built. The context's attempt becomes the last, losing one of
-/// `attempts`.
-fn fault_record(context: RunContext, attempts: u32, error: DetectError) -> FaultRecord {
-    FaultRecord {
-        context: RunContext {
-            attempt: attempts.saturating_sub(1),
-            ..context
-        },
-        attempts,
-        error,
     }
 }
 
@@ -484,13 +471,17 @@ fn settle(
     attempt: RunAttempt,
     context: RunContext,
     counters: &mut PhaseFaultCounters,
-    faults: &mut FaultLog,
+    faults: &mut Vec<FaultRecord>,
 ) -> Option<(ProgramTrace, SimCounters)> {
     attempt.count_into(counters);
     match attempt.result {
         Ok(recorded) => Some(recorded),
         Err(error) => {
-            faults.push(fault_record(context, attempt.attempts, error));
+            faults.push(FaultRecord {
+                context,
+                attempts: attempt.attempts,
+                error,
+            });
             None
         }
     }
@@ -669,7 +660,7 @@ where
         for (i, slot) in attempts.into_iter().enumerate() {
             let context = run_context(DetectPhase::TraceCollection, None, STREAM_USER, i);
             if let Some((trace, run_counters)) = settle(
-                slot.map_err(DetectError::from).unwrap_or_else(lost_item),
+                slot.unwrap_or_else(lost_item),
                 context,
                 &mut ledger.fault_counters.trace_collection,
                 &mut ledger.faults,
@@ -738,7 +729,7 @@ where
                     set.merge(chunk.partial);
                     *kept += chunk.kept;
                 }
-                Err(panic) => {
+                Err(error) => {
                     // The recorder catches program panics, so losing a
                     // whole chunk is a bookkeeping bug — quarantine every
                     // run in it deterministically rather than abort.
@@ -749,7 +740,11 @@ where
                     counters.quarantined += lost;
                     let context =
                         run_context(DetectPhase::Evidence, item.class, item.stream, item.start);
-                    ledger.faults.push(fault_record(context, 1, panic.into()));
+                    ledger.faults.push(FaultRecord {
+                        context,
+                        attempts: 1,
+                        error,
+                    });
                 }
             }
         }
@@ -771,8 +766,11 @@ where
         if let Err(error) = config.budget.check_evidence(evidence_bytes) {
             ledger.lost = true;
             ledger.fault_counters.evidence.budget_exhausted += 1;
-            let context = run_context(DetectPhase::Evidence, None, STREAM_RND, 0);
-            ledger.faults.push(fault_record(context, 1, error));
+            ledger.faults.push(FaultRecord {
+                context: run_context(DetectPhase::Evidence, None, STREAM_RND, 0),
+                attempts: 1,
+                error,
+            });
         }
 
         // Quorum: a distribution test is only trusted when both of its
@@ -899,9 +897,6 @@ where
                         .collect::<Vec<_>>()
                 })
             })
-            .into_iter()
-            .map(|slot| slot.map_err(DetectError::from))
-            .collect()
         };
         let mut merged: Vec<(Engine, LeakReport)> = engines
             .iter()

@@ -10,10 +10,10 @@
 //!
 //! Panics are isolated per work item: an unwind out of `f(i)` is caught
 //! (`catch_unwind(AssertUnwindSafe(..))`) and surfaces as that item's
-//! `Err(CaughtPanic)` result slot. No panic propagates across items, no
-//! mutex is poisoned, and every other item still completes — the caller
-//! decides, deterministically and by index order (first-index-wins), how
-//! to report the failure. The inline `workers <= 1` path catches unwinds
+//! `Err(DetectError::WorkerPanic)` result slot. No panic propagates
+//! across items, no mutex is poisoned, and every other item still
+//! completes — the caller decides, deterministically and by index order
+//! (first-index-wins), how to report the failure. The inline `workers <= 1` path catches unwinds
 //! identically, so panic behaviour is part of the bit-identical
 //! determinism contract rather than an artifact of threading.
 
@@ -23,24 +23,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// A panic caught at a work-item boundary, rendered for reporting.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct CaughtPanic {
-    /// The rendered panic payload.
-    pub message: String,
-}
-
-impl From<CaughtPanic> for DetectError {
-    fn from(panic: CaughtPanic) -> Self {
-        DetectError::WorkerPanic {
-            message: panic.message,
-        }
-    }
-}
-
 /// Applies `f` to every index in `0..n` on up to `workers` threads and
 /// returns the results in index order, one `Result` per item: `Err` holds
-/// the caught panic when `f(i)` unwound.
+/// the caught panic, as [`DetectError::WorkerPanic`], when `f(i)` unwound.
 ///
 /// With `workers <= 1` or `n <= 1` everything runs inline on the calling
 /// thread — the exact serial behaviour (including panic isolation), with
@@ -58,13 +43,13 @@ pub(crate) fn parallel_map<T, F>(
     n: usize,
     cancel: Option<&CancelToken>,
     f: F,
-) -> Vec<Result<T, CaughtPanic>>
+) -> Vec<Result<T, DetectError>>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     let run_item = |i: usize| {
-        catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|payload| CaughtPanic {
+        catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|payload| DetectError::WorkerPanic {
             message: crate::fault::panic_message(payload),
         })
     };
@@ -72,7 +57,7 @@ where
         return (0..n).map(run_item).collect();
     }
     let workers = workers.min(n);
-    let slots: Vec<Mutex<Option<Result<T, CaughtPanic>>>> =
+    let slots: Vec<Mutex<Option<Result<T, DetectError>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
@@ -106,7 +91,7 @@ where
 mod tests {
     use super::*;
 
-    fn unwrap_all<T>(results: Vec<Result<T, CaughtPanic>>) -> Vec<T> {
+    fn unwrap_all<T>(results: Vec<Result<T, DetectError>>) -> Vec<T> {
         results.into_iter().map(|r| r.expect("no panic")).collect()
     }
 
@@ -153,7 +138,12 @@ mod tests {
             for (i, slot) in out.into_iter().enumerate() {
                 if i % 3 == 1 {
                     let panic = slot.expect_err("items 1,4,7 panic");
-                    assert_eq!(panic.message, format!("boom at {i}"));
+                    assert_eq!(
+                        panic,
+                        DetectError::WorkerPanic {
+                            message: format!("boom at {i}")
+                        }
+                    );
                 } else {
                     assert_eq!(slot.expect("other items succeed"), i * 10);
                 }
@@ -193,6 +183,11 @@ mod tests {
     fn non_string_payloads_render_as_placeholder() {
         let out = parallel_map(1, 1, None, |_| std::panic::panic_any(42u32));
         let panic = out.into_iter().next().unwrap().expect_err("panicked");
-        assert_eq!(panic.message, "opaque panic payload");
+        assert_eq!(
+            panic,
+            DetectError::WorkerPanic {
+                message: "opaque panic payload".into()
+            }
+        );
     }
 }

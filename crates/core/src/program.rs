@@ -1,5 +1,6 @@
 //! The interface between the detector and the application under test.
 
+use crate::error::DetectError;
 use crate::record::RunSpec;
 use owl_host::{Device, HostError};
 
@@ -34,43 +35,34 @@ pub trait TracedProgram {
     fn run(&self, device: &mut Device, input: &Self::Input) -> Result<(), HostError>;
 
     /// Executes the program once over `input`, with the identity of the
-    /// detector-driven run ([`RunSpec`]) available.
+    /// detector-driven run ([`RunSpec`]) available. Every recording the
+    /// detector makes goes through this method.
     ///
     /// The default delegates to [`run`](Self::run) — regular applications
     /// never see the spec. Overridden by harnesses that key behaviour on
     /// the run identity, most notably the fault-injection wrapper
     /// ([`FaultyProgram`](crate::inject::FaultyProgram)), which injects
-    /// failures keyed on `(stream, run_index, attempt)`.
+    /// failures keyed on `(stream, run_index, attempt)`: program failures
+    /// and detector-level ones (budget exhaustion, deadline expiry) alike.
     ///
     /// # Errors
     ///
-    /// See [`run`](Self::run).
+    /// [`DetectError::Host`] wrapping `run`'s error, or the fault an
+    /// injection harness raises for this run.
     fn run_with_spec(
         &self,
         device: &mut Device,
         input: &Self::Input,
         spec: &RunSpec,
-    ) -> Result<(), HostError> {
+    ) -> Result<(), DetectError> {
         let _ = spec;
-        self.run(device, input)
+        Ok(self.run(device, input)?)
     }
 
     /// Draws a random secret input from the program's input space.
     ///
     /// Must be deterministic in `seed` so detection runs are reproducible.
     fn random_input(&self, seed: u64) -> Self::Input;
-
-    /// A detector-level fault to raise *instead of* recording this run.
-    ///
-    /// The default (`None`) never fires. Overridden only by the
-    /// fault-injection wrapper to simulate governance failures — budget
-    /// exhaustion or deadline expiry at a chosen `(stream, run_index)` —
-    /// that cannot be expressed as an execution error inside the simulator.
-    /// Real applications must not override this.
-    fn injected_detect_fault(&self, spec: &RunSpec) -> Option<crate::error::DetectError> {
-        let _ = spec;
-        None
-    }
 
     /// Declares that `run` is a pure function of `(device, input)`: two
     /// calls with an equal input produce bit-identical traces, with no
@@ -112,16 +104,12 @@ impl<P: TracedProgram + ?Sized> TracedProgram for &P {
         device: &mut Device,
         input: &Self::Input,
         spec: &RunSpec,
-    ) -> Result<(), HostError> {
+    ) -> Result<(), DetectError> {
         (**self).run_with_spec(device, input, spec)
     }
 
     fn random_input(&self, seed: u64) -> Self::Input {
         (**self).random_input(seed)
-    }
-
-    fn injected_detect_fault(&self, spec: &RunSpec) -> Option<crate::error::DetectError> {
-        (**self).injected_detect_fault(spec)
     }
 
     fn deterministic_host(&self) -> bool {

@@ -7,9 +7,9 @@
 //! (device side), plus allocation records.
 //!
 //! [`Recorder::record`] is the one recording entry point. It owns every
-//! step of a run: the cancellation and injected-fault pre-checks, the
-//! device and tracer, the per-run budget check, and the deterministic
-//! retry loop that turns panics into typed faults.
+//! step of a run: the cancellation pre-check, the device and tracer, the
+//! per-run budget check, and the deterministic retry loop that turns
+//! panics into typed faults.
 //! [`record_run_metered`] is a single unguarded attempt of the same steps.
 
 use crate::error::DetectError;
@@ -177,7 +177,8 @@ impl Recorder {
         }
     }
 
-    /// One attempt: the pre-checks, the traced run, the budget check.
+    /// One attempt: the cancellation pre-check, the traced run, the budget
+    /// check.
     fn record_once<P: TracedProgram>(
         &self,
         program: &P,
@@ -186,9 +187,6 @@ impl Recorder {
     ) -> Result<(ProgramTrace, SimCounters), DetectError> {
         if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             return Err(DetectError::Cancelled);
-        }
-        if let Some(fault) = program.injected_detect_fault(spec) {
-            return Err(fault);
         }
         let mut device = spec
             .layout_seed()
@@ -217,7 +215,7 @@ impl Recorder {
 /// runaway that the injection harness deliberately recovers from on retry.
 fn is_permanent(error: &DetectError) -> bool {
     matches!(
-        error.root(),
+        error,
         DetectError::NoInputs | DetectError::Cancelled | DetectError::BudgetExhausted { .. }
     )
 }

@@ -17,7 +17,7 @@
 //! `owl-metrics` for the bump policy.
 
 use crate::engine::EngineComparison;
-use crate::fault::FaultLog;
+use crate::fault::FaultRecord;
 use crate::owl::{Detection, OwlConfig, PhaseStats, Verdict};
 use crate::report::LeakReport;
 use owl_metrics::{FaultCounters, SimCounters, Spans, SCHEMA_VERSION};
@@ -51,7 +51,7 @@ pub struct DetectionSummary {
     /// schema bump aside).
     pub faults: FaultCounters,
     /// Every quarantined run, in run order (empty when fault-free).
-    pub fault_log: FaultLog,
+    pub fault_log: Vec<FaultRecord>,
     /// The merged leak report (produced by the configured engine).
     pub report: LeakReport,
     /// The cross-engine agreement table (`null` unless the detection ran
@@ -191,7 +191,8 @@ pub struct BudgetUtilization {
     pub max_mem_events: Option<u64>,
     /// The configured per-run allocation budget (`None` = unbounded).
     pub max_allocations: Option<u64>,
-    /// Peak resident evidence footprint, in bytes.
+    /// The merged random evidence plus the largest merged fixed evidence,
+    /// in bytes (see [`PhaseStats::peak_evidence_bytes`]).
     pub peak_evidence_bytes: usize,
     /// The configured evidence-footprint budget (`None` = unbounded).
     pub max_evidence_bytes: Option<usize>,
@@ -223,7 +224,8 @@ pub struct PhaseStatsMs {
     pub evidence_workers: usize,
     /// Wall time of the distribution tests.
     pub test_ms: f64,
-    /// Peak resident evidence footprint, in bytes.
+    /// The merged random evidence plus the largest merged fixed evidence,
+    /// in bytes (see [`PhaseStats::peak_evidence_bytes`]).
     pub peak_evidence_bytes: usize,
     /// Total wall time of the detection.
     pub total_ms: f64,
@@ -318,7 +320,7 @@ mod tests {
                 s.record("trace_collection", Duration::from_millis(12));
                 s
             },
-            faults: FaultLog::new(),
+            faults: Vec::new(),
             fault_counters: FaultCounters::default(),
             engine_comparison: None,
         }

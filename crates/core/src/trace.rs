@@ -10,7 +10,6 @@ use owl_dcfg::Adcfg;
 use owl_host::CallSite;
 use serde::Serialize;
 use std::hash::{Hash, Hasher};
-use std::sync::OnceLock;
 
 /// Identity of a kernel invocation *site*: which kernel, launched from
 /// where in host code.
@@ -32,19 +31,7 @@ impl std::fmt::Display for InvocationKey {
 pub type ConfigTuple = ((u32, u32, u32), (u32, u32, u32));
 
 /// One kernel invocation with its reconstructed A-DCFG.
-///
-/// The invocation's digest is computed lazily on the first
-/// [`KernelInvocation::digest`] call and cached, so hashing a whole
-/// [`ProgramTrace`] combines per-invocation digests instead of re-walking
-/// every A-DCFG — the duplicate filter digests each trace exactly once
-/// per run instead of once per comparison — while runs that are never
-/// filtered (the evidence phase merges them directly) pay nothing.
-///
-/// **Caching rule:** the fields are public for reading, but mutating them
-/// in place after a `digest()` call leaves the cached digest stale. Build
-/// a new invocation with [`KernelInvocation::new`] instead; debug builds
-/// assert freshness on every [`KernelInvocation::digest`] call.
-#[derive(Debug, Clone, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelInvocation {
     /// The invocation site identity.
     pub key: InvocationKey,
@@ -52,59 +39,29 @@ pub struct KernelInvocation {
     pub config: ConfigTuple,
     /// The warp-aggregated trace of this invocation.
     pub adcfg: Adcfg,
-    /// FNV-1a digest over `(key, config, adcfg)`, filled on first use.
-    /// (`OnceLock` rather than `OnceCell`: traces cross the evidence
-    /// phase's worker-thread boundary.)
-    digest: OnceLock<u64>,
 }
 
 impl KernelInvocation {
-    /// Creates an invocation record; the digest is computed on first use.
+    /// Creates an invocation record.
     pub fn new(key: InvocationKey, config: ConfigTuple, adcfg: Adcfg) -> Self {
-        KernelInvocation {
-            key,
-            config,
-            adcfg,
-            digest: OnceLock::new(),
-        }
+        KernelInvocation { key, config, adcfg }
     }
 
-    /// The digest over `(key, config, adcfg)`, cached after the first call.
+    /// The FNV-1a digest over `(key, config, adcfg)`.
     pub fn digest(&self) -> u64 {
-        let d = *self
-            .digest
-            .get_or_init(|| Self::compute_digest(&self.key, &self.config, &self.adcfg));
-        debug_assert_eq!(
-            d,
-            Self::compute_digest(&self.key, &self.config, &self.adcfg),
-            "stale invocation digest: fields were mutated after construction"
-        );
-        d
-    }
-
-    fn compute_digest(key: &InvocationKey, config: &ConfigTuple, adcfg: &Adcfg) -> u64 {
         let mut h = Fnv1a::default();
-        key.hash(&mut h);
-        config.hash(&mut h);
-        adcfg.hash(&mut h);
+        self.key.hash(&mut h);
+        self.config.hash(&mut h);
+        self.adcfg.hash(&mut h);
         h.finish()
-    }
-}
-
-impl PartialEq for KernelInvocation {
-    fn eq(&self, other: &Self) -> bool {
-        // The digest cache is derived state — whether it has been filled
-        // yet must not affect equality.
-        self.key == other.key && self.config == other.config && self.adcfg == other.adcfg
     }
 }
 
 impl Hash for KernelInvocation {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        // The cached digest already covers all three fields; feeding it
-        // instead of re-walking the A-DCFG makes trace-level hashing O(1)
-        // per invocation. Consistent with `Eq`: the digest is a pure
-        // function of the compared fields.
+        // A trace hashes its invocations' digests, the values the pinned
+        // trace digests were computed from. Consistent with `Eq`: the
+        // digest is a pure function of the compared fields.
         state.write_u64(self.digest());
     }
 }
@@ -152,8 +109,7 @@ impl ProgramTrace {
     /// phase to group inputs into classes. Two traces compare equal exactly
     /// when the program showed identical observable behaviour.
     ///
-    /// Combines the per-invocation digests cached at
-    /// [`KernelInvocation::new`] — O(#invocations), not O(trace size).
+    /// Combines the per-invocation digests ([`KernelInvocation::digest`]).
     pub fn digest(&self) -> u64 {
         let mut h = Fnv1a::default();
         self.hash(&mut h);
@@ -234,21 +190,19 @@ mod tests {
     }
 
     #[test]
-    fn cached_digest_equals_fresh_computation_after_merge() {
-        // `digest()` recomputes and asserts freshness in debug builds, so
-        // every equality below also proves cache == fresh recompute.
+    fn invocation_digest_follows_its_graph_through_a_merge() {
         let a = invocation(1, "k", &[0, 1, 1]);
-        let cached = a.digest(); // fills the cache
+        let before = a.digest();
 
-        // Merging a's graph elsewhere must not disturb a's cached digest.
+        // Merging a's graph elsewhere leaves a's digest alone.
         let mut merged_graph = invocation(1, "k", &[0, 1, 1]).adcfg;
         merged_graph.merge(&a.adcfg);
         let merged = KernelInvocation::new(a.key.clone(), a.config, merged_graph.clone());
-        assert_eq!(a.digest(), cached);
+        assert_eq!(a.digest(), before);
 
         // The merged invocation digests its own (new) state, and a second
         // independently merged build reproduces it exactly.
-        assert_ne!(merged.digest(), cached, "merge changed the A-DCFG");
+        assert_ne!(merged.digest(), before, "merge changed the A-DCFG");
         let mut again = invocation(1, "k", &[0, 1, 1]).adcfg;
         again.merge(&invocation(1, "k", &[0, 1, 1]).adcfg);
         assert_eq!(
@@ -256,8 +210,7 @@ mod tests {
             merged.digest()
         );
 
-        // Clones carry the filled cache; it stays valid because clones
-        // share the cloned fields byte-for-byte.
+        // A clone digests identically.
         assert_eq!(merged.clone().digest(), merged.digest());
     }
 

@@ -7,7 +7,7 @@
 //! §V-A) and one at each memory-access instruction with the per-lane
 //! addresses.
 
-use crate::grid::{Dim3, LaunchConfig};
+use crate::grid::LaunchConfig;
 use crate::isa::MemSpace;
 use crate::mem::DeviceMemory;
 use crate::program::BlockId;
@@ -265,23 +265,8 @@ pub struct LaunchInfo {
     pub kernel: String,
     /// Launch geometry.
     pub config: LaunchConfig,
-    /// Number of basic blocks in the kernel (for preallocating per-block
-    /// state in tracers).
-    pub block_count: u32,
     /// SIMT warp width of this launch.
     pub warp_size: u32,
-}
-
-impl LaunchInfo {
-    /// Grid dimensions, for convenience.
-    pub fn grid(&self) -> Dim3 {
-        self.config.grid
-    }
-
-    /// Block dimensions, for convenience.
-    pub fn block(&self) -> Dim3 {
-        self.config.block
-    }
 }
 
 /// Instrumentation callbacks, invoked synchronously by the interpreter.
@@ -381,7 +366,6 @@ mod tests {
         let info = LaunchInfo {
             kernel: "k".into(),
             config: LaunchConfig::new(1u32, 32u32),
-            block_count: 1,
             warp_size: 32,
         };
         h.kernel_begin(&info);

@@ -682,7 +682,6 @@ pub fn launch_oracle(
     let info = LaunchInfo {
         kernel: program.name.clone(),
         config,
-        block_count: program.block_count() as u32,
         warp_size: options.warp_size,
     };
     hook.kernel_begin(&info);

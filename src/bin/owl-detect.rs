@@ -294,7 +294,7 @@ fn report<I>(name: &str, detection: &Detection<I>, opts: &Options) -> Result<Exi
                     fc.trace_collection.panics + fc.evidence.panics + fc.analysis.panics
                 );
                 for record in detection.faults.iter().take(8) {
-                    println!("  {}", record.to_error());
+                    println!("  {record}");
                 }
                 if detection.faults.len() > 8 {
                     println!(

@@ -235,10 +235,7 @@ fn verdict_invariant_under_retry_perturbation() {
         detect(&FaultyProgram::new(&program, plan), &INPUTS, &cfg).expect("detect survives");
     assert_eq!(perturbed.verdict, baseline.verdict);
     assert_eq!(perturbed.report, baseline.report);
-    assert!(
-        perturbed.faults.records().is_empty(),
-        "transient fault must recover"
-    );
+    assert!(perturbed.faults.is_empty(), "transient fault must recover");
     assert_eq!(perturbed.fault_counters.evidence.retried, 2);
 }
 

@@ -112,7 +112,7 @@ fn every_fault_kind_is_quarantined_not_fatal() {
         let detection = detect_injected(&w, &inputs, plan, 2, ONE_ATTEMPT);
         assert_eq!(detection.verdict, Verdict::Leaky, "fault {tag}");
         assert_eq!(detection.faults.len(), 1, "fault {tag}");
-        let record = &detection.faults.records()[0];
+        let record = &detection.faults[0];
         assert_eq!(record.error.kind(), tag);
         assert_eq!(record.context.phase, DetectPhase::Evidence);
         assert_eq!(record.context.stream, STREAM_RND);
@@ -230,7 +230,7 @@ fn lost_user_input_downgrades_leak_free_to_inconclusive() {
     assert_eq!(detection.verdict, Verdict::Inconclusive);
     assert_eq!(detection.filter.classes.len(), 1, "survivors still filter");
     assert_eq!(detection.faults.len(), 1);
-    let record = &detection.faults.records()[0];
+    let record = &detection.faults[0];
     assert_eq!(record.context.phase, DetectPhase::TraceCollection);
     assert_eq!(record.context.run_index, 0);
     assert_eq!(detection.fault_counters.trace_collection.quarantined, 1);
@@ -309,5 +309,5 @@ fn retry_budget_is_honoured_per_run() {
     let detection = detect_injected(&w, &inputs, plan, 2, RetryPolicy { max_attempts: 2 });
     assert_eq!(detection.faults.len(), 1);
     assert_eq!(detection.fault_counters.evidence.quarantined, 1);
-    assert_eq!(detection.faults.records()[0].attempts, 2);
+    assert_eq!(detection.faults[0].attempts, 2);
 }

@@ -135,7 +135,7 @@ fn injected_resource_faults_follow_the_quarantine_matrix() {
     );
     assert_eq!(detection.fault_counters.evidence.cancelled, 1);
     assert_eq!(detection.fault_counters.evidence.quarantined, 1);
-    assert_eq!(detection.faults.records()[0].error.kind(), "cancelled");
+    assert_eq!(detection.faults[0].error.kind(), "cancelled");
 }
 
 /// A caller-cancelled token stops the detection promptly — every run
@@ -198,7 +198,7 @@ fn evidence_budget_overrun_is_inconclusive_without_quarantining_runs() {
         detection.fault_counters.evidence.quarantined, 0,
         "no individual run is quarantined for a detection-level overrun"
     );
-    let record = &detection.faults.records()[0];
+    let record = &detection.faults[0];
     assert_eq!(record.error.kind(), "budget_exhausted");
     assert!(record.error.to_string().contains("evidence_bytes"));
 }
