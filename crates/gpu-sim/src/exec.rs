@@ -816,6 +816,63 @@ mod tests {
         }
     }
 
+    /// Every NaN an `F*` op produces is `CANONICAL_NAN`, whatever the
+    /// operands' payloads, on both interpreters and on full and partial
+    /// warps (whose rows the compiler may split into vector and scalar
+    /// parts).
+    #[test]
+    fn float_nan_results_are_canonical() {
+        let b = KernelBuilder::new("nan");
+        let out = b.param(0);
+        let tid = b.special(SpecialReg::GlobalTid);
+        let nan_a = b.mov(0x7fc0_0001u64);
+        let nan_b = b.mov(0xffc0_0002u64);
+        let minus_one = b.mov(u64::from((-1.0f32).to_bits()));
+        let results = [
+            b.fadd(nan_a, nan_b),
+            b.fsub(nan_a, nan_b),
+            b.fmul(nan_a, nan_b),
+            b.fdiv(nan_a, nan_b),
+            b.fmin(nan_a, nan_b),
+            b.fmax(nan_a, nan_b),
+            b.fsqrt(minus_one),
+            b.fln(minus_one),
+        ];
+        let n = results.len() as u64;
+        let row = b.add(out, b.mul(tid, 8 * n));
+        for (i, v) in results.into_iter().enumerate() {
+            b.store_global(b.add(row, 8 * i as u64), v, MemWidth::B8);
+        }
+        let k = b.finish();
+        for threads in [32u32, 7] {
+            for interpreter in [Interpreter::Lowered, Interpreter::Oracle] {
+                let mut mem = DeviceMemory::new();
+                let (_, o) = mem.alloc(8 * n as usize * threads as usize);
+                launch_with_options(
+                    &mut mem,
+                    &k,
+                    LaunchConfig::new(1u32, threads),
+                    &[o],
+                    &mut NullHook,
+                    LaunchOptions {
+                        interpreter,
+                        ..LaunchOptions::default()
+                    },
+                )
+                .unwrap();
+                for slot in 0..n * u64::from(threads) {
+                    assert_eq!(
+                        mem.load(o + 8 * slot, 8).unwrap(),
+                        u64::from(crate::isa::CANONICAL_NAN),
+                        "{interpreter:?}, {threads} threads: lane {}, op {}",
+                        slot / n,
+                        slot % n
+                    );
+                }
+            }
+        }
+    }
+
     /// Out-of-bounds access reports the faulting location.
     #[test]
     fn oob_access_reports_location() {

@@ -66,11 +66,35 @@ pub const SHARED_BANKS: u64 = 32;
 /// quantity through timing. `scratch` is reused across calls to keep the
 /// hot path allocation-free.
 pub fn coalesced_transactions(lane_addrs: &[(u8, u64)], scratch: &mut Vec<u64>) -> u32 {
+    // Lane addresses usually ascend: count segment changes in one pass,
+    // and sort only when some lane steps back.
+    let mut segments = lane_addrs.iter().map(|&(_, a)| a / COALESCE_SEGMENT);
+    let Some(mut prev) = segments.next() else {
+        return 0;
+    };
+    let mut count = 1;
+    for seg in segments {
+        if seg < prev {
+            return sorted_distinct(lane_addrs, COALESCE_SEGMENT, scratch).len() as u32;
+        }
+        count += u32::from(seg != prev);
+        prev = seg;
+    }
+    count
+}
+
+/// The distinct values of `addr / unit` over the lanes, sorted, in
+/// `scratch`.
+fn sorted_distinct<'s>(
+    lane_addrs: &[(u8, u64)],
+    unit: u64,
+    scratch: &'s mut Vec<u64>,
+) -> &'s [u64] {
     scratch.clear();
-    scratch.extend(lane_addrs.iter().map(|&(_, a)| a / COALESCE_SEGMENT));
+    scratch.extend(lane_addrs.iter().map(|&(_, a)| a / unit));
     scratch.sort_unstable();
     scratch.dedup();
-    scratch.len() as u32
+    scratch
 }
 
 /// Shared-memory bank-conflict degree: the maximum number of lanes
@@ -80,13 +104,9 @@ pub fn coalesced_transactions(lane_addrs: &[(u8, u64)], scratch: &mut Vec<u64>) 
 /// calls.
 pub fn bank_conflict_degree(lane_addrs: &[(u8, u64)], scratch: &mut Vec<u64>) -> u32 {
     let mut counts = [0u32; SHARED_BANKS as usize];
-    scratch.clear();
-    scratch.extend(lane_addrs.iter().map(|&(_, a)| a / 4));
-    scratch.sort_unstable();
-    scratch.dedup();
     // Broadcasts (all lanes on one word) are conflict-free; count
     // distinct words per bank.
-    for &w in scratch.iter() {
+    for &w in sorted_distinct(lane_addrs, 4, scratch) {
         counts[(w % SHARED_BANKS) as usize] += 1;
     }
     counts.iter().copied().max().unwrap_or(0).max(1)
@@ -401,6 +421,12 @@ mod tests {
             mk((0..32).map(|i| i * 64).collect()).coalesced_transactions(),
             32
         );
+        // Descending and interleaved lanes count each segment once too.
+        assert_eq!(
+            mk((0..32).rev().map(|i| i * 4).collect()).coalesced_transactions(),
+            4
+        );
+        assert_eq!(mk(vec![0, 64, 4, 68, 8]).coalesced_transactions(), 2);
         assert_eq!(mk(vec![]).coalesced_transactions(), 0);
     }
 

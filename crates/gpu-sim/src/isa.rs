@@ -8,10 +8,18 @@
 //!
 //! Floating-point operations use IEEE-754 `f32` semantics: the low 32 bits
 //! of a register hold the bit pattern, produced and consumed by the `F*`
-//! operations and the conversion ops.
+//! operations and the conversion ops. Every `F*` result that is NaN is
+//! written as [`CANONICAL_NAN`], whatever the operands' NaN payloads, as
+//! NVIDIA hardware does. IEEE-754 leaves the payload of a NaN result open,
+//! and Rust does not fix it either, so without this rule the result bits
+//! would depend on how the compiler schedules the operation.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+
+/// The bit pattern of every NaN an `F*` operation produces: the canonical
+/// NaN of NVIDIA GPUs.
+pub const CANONICAL_NAN: u32 = 0x7fff_ffff;
 
 /// A general-purpose 64-bit register index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -125,9 +133,11 @@ pub enum BinOp {
     FMul,
     /// `f32` division.
     FDiv,
-    /// `f32` minimum (NaN-propagating like SASS `FMNMX`).
+    /// `f32` minimum. A NaN operand yields the other operand, like CUDA
+    /// `fminf` (and Rust's `f32::min`); two NaNs yield [`CANONICAL_NAN`].
     FMin,
-    /// `f32` maximum (NaN-propagating like SASS `FMNMX`).
+    /// `f32` maximum. A NaN operand yields the other operand, like CUDA
+    /// `fmaxf` (and Rust's `f32::max`); two NaNs yield [`CANONICAL_NAN`].
     FMax,
 }
 

@@ -42,17 +42,28 @@ impl std::fmt::Display for AccessError {
 
 impl std::error::Error for AccessError {}
 
+/// Little-endian load, zero-extended. The ISA's widths (1, 2, 4 and 8
+/// bytes) each read one fixed-size integer.
 fn load_le(bytes: &[u8]) -> u64 {
-    let mut v = 0u64;
-    for (i, &b) in bytes.iter().enumerate() {
-        v |= u64::from(b) << (8 * i);
+    match *bytes {
+        [b0] => u64::from(b0),
+        [b0, b1] => u64::from(u16::from_le_bytes([b0, b1])),
+        [b0, b1, b2, b3] => u64::from(u32::from_le_bytes([b0, b1, b2, b3])),
+        [b0, b1, b2, b3, b4, b5, b6, b7] => u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7]),
+        _ => bytes.iter().rev().fold(0, |v, &b| v << 8 | u64::from(b)),
     }
-    v
 }
 
+/// Little-endian store of the low `bytes.len()` bytes of `value`. The
+/// ISA's widths each write one fixed-size integer.
 fn store_le(bytes: &mut [u8], value: u64) {
-    for (i, b) in bytes.iter_mut().enumerate() {
-        *b = (value >> (8 * i)) as u8;
+    let le = value.to_le_bytes();
+    match bytes.len() {
+        1 => bytes[0] = le[0],
+        2 => bytes.copy_from_slice(&le[..2]),
+        4 => bytes.copy_from_slice(&le[..4]),
+        8 => bytes.copy_from_slice(&le),
+        _ => bytes.iter_mut().zip(le).for_each(|(b, v)| *b = v),
     }
 }
 

@@ -36,6 +36,7 @@ use crate::grid::{Dim3, LaunchConfig};
 use crate::hook::{AccessKind, KernelHook, LaunchInfo, MemAccessEvent, WarpRef};
 use crate::isa::{
     AtomicOp, BinOp, CmpOp, Guard, Inst, InstOp, MemSpace, Operand, ShflMode, SpecialReg, UnOp,
+    CANONICAL_NAN,
 };
 use crate::mem::{AccessError, DeviceMemory, LinearMemory};
 use crate::program::{BlockId, KernelProgram, Region, Stmt};
@@ -758,7 +759,13 @@ pub fn launch_oracle(
 /// suite compares the two implementations.
 fn alu_bin(op: BinOp, a: u64, b: u64) -> Option<u64> {
     let f = |bits: u64| f32::from_bits(bits as u32);
-    let out = |v: f32| u64::from(v.to_bits());
+    let out = |v: f32| {
+        if v.is_nan() {
+            u64::from(CANONICAL_NAN)
+        } else {
+            u64::from(v.to_bits())
+        }
+    };
     Some(match op {
         BinOp::Add => a.wrapping_add(b),
         BinOp::Sub => a.wrapping_sub(b),
@@ -797,7 +804,13 @@ fn alu_bin(op: BinOp, a: u64, b: u64) -> Option<u64> {
 /// Naive unary ALU evaluation.
 fn alu_un(op: UnOp, a: u64) -> u64 {
     let f = |bits: u64| f32::from_bits(bits as u32);
-    let out = |v: f32| u64::from(v.to_bits());
+    let out = |v: f32| {
+        if v.is_nan() {
+            u64::from(CANONICAL_NAN)
+        } else {
+            u64::from(v.to_bits())
+        }
+    };
     match op {
         UnOp::Not => !a,
         UnOp::Neg => (a as i64).wrapping_neg() as u64,

@@ -17,13 +17,21 @@
 //!
 //! The explicit stack lets a warp *pause* at a block-wide barrier and be
 //! resumed by the engine once all warps of the CTA arrive.
+//!
+//! Instructions execute whole-warp. The register file is register-major
+//! (register `r` of lane `l` lives at `regs[r * warp_size + l]`), and each
+//! predicate register is one lane mask. An ALU-class instruction matches
+//! its opcode once, evaluates one loop over every lane into a stack row,
+//! and writes back the active lanes. Inactive lanes are evaluated too, so
+//! every ALU function is total; only an *active* lane's zero divisor is an
+//! error. Memory instructions visit the active lanes in lane order.
 
 use crate::cancel::CancelToken;
 use crate::error::ExecError;
 use crate::exec::CANCEL_CHECK_STRIDE;
-use crate::grid::Dim3;
+use crate::grid::{Dim3, MAX_WARP_SIZE};
 use crate::hook::{AccessKind, KernelHook, MemEventBatch, WarpRef};
-use crate::isa::{AtomicOp, BinOp, CmpOp, MemSpace, Pred, ShflMode, UnOp};
+use crate::isa::{AtomicOp, BinOp, CmpOp, MemSpace, Pred, ShflMode, UnOp, CANONICAL_NAN};
 use crate::lowered::{LInst, LOp, LOperand, LoweredProgram, NO_GUARD};
 use crate::mem::{DeviceMemory, LinearMemory};
 use crate::program::{BlockId, KernelProgram, Region, Stmt};
@@ -31,6 +39,20 @@ use owl_metrics::SimCounters;
 
 /// An activity mask wide enough for any supported warp (up to 64 lanes).
 pub type Mask = u64;
+
+/// Lanes of the widest supported warp: the length of an ALU result row.
+const MAX_LANES: usize = MAX_WARP_SIZE as usize;
+
+/// The lanes set in `mask`, lowest first.
+fn lanes(mut mask: Mask) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
 
 /// Execution resources shared by the warps of one launch, threaded through
 /// the interpreter by the engine.
@@ -117,17 +139,20 @@ struct LaneInfo {
 pub(crate) struct WarpExec<'p> {
     /// Pre-decoded instruction tables, built once per launch.
     lowered: &'p LoweredProgram,
-    /// `num_regs`/`num_preds` as `usize`, cached for register-file
-    /// indexing in the per-lane loops.
-    nregs: usize,
-    npreds: usize,
     warp_ref: WarpRef,
     frames: Vec<Frame<'p>>,
     /// Initial activity mask (lanes that map to real threads).
     init_mask: Mask,
-    warp_size: u32,
+    /// Every lane of the warp, valid or not: under this mask a result row
+    /// is written back with one copy.
+    full_mask: Mask,
+    /// Lanes per warp, the length of one register row.
+    warp_size: usize,
+    /// Register-major file: register `r` is the row
+    /// `regs[r * warp_size..(r + 1) * warp_size]`.
     regs: Vec<u64>,
-    preds: Vec<bool>,
+    /// One lane mask per predicate register.
+    preds: Vec<Mask>,
     lanes: Vec<LaneInfo>,
     /// Per-lane private (local) memory, allocated only when the kernel
     /// declares local bytes.
@@ -185,17 +210,16 @@ impl<'p> WarpExec<'p> {
         });
         WarpExec {
             lowered,
-            nregs: usize::from(program.num_regs),
-            npreds: usize::from(program.num_preds),
             warp_ref: WarpRef {
                 cta: cta_linear,
                 warp: warp_in_block,
             },
             frames,
             init_mask,
-            warp_size,
+            full_mask: Mask::MAX >> (Mask::BITS - warp_size),
+            warp_size: n_lanes,
             regs: vec![0; usize::from(program.num_regs) * n_lanes],
-            preds: vec![false; usize::from(program.num_preds) * n_lanes],
+            preds: vec![0; usize::from(program.num_preds)],
             lanes,
             local,
             ctaid: grid.unlinearize(u64::from(cta_linear)),
@@ -218,43 +242,56 @@ impl<'p> WarpExec<'p> {
         self.done
     }
 
+    /// Register `r` across the warp.
     #[inline]
-    fn reg(&self, lane: usize, r: u16) -> u64 {
-        self.regs[lane * self.nregs + usize::from(r)]
+    fn reg_row(&self, r: u16) -> &[u64] {
+        &self.regs[usize::from(r) * self.warp_size..][..self.warp_size]
     }
 
     #[inline]
     fn set_reg(&mut self, lane: usize, r: u16, v: u64) {
-        self.regs[lane * self.nregs + usize::from(r)] = v;
+        self.regs[usize::from(r) * self.warp_size + lane] = v;
     }
 
+    /// An operand across the warp.
     #[inline]
-    fn pred(&self, lane: usize, p: u16) -> bool {
-        self.preds[lane * self.npreds + usize::from(p)]
+    fn row(&self, op: LOperand) -> Row<'_> {
+        match op {
+            LOperand::Reg(r) => Row::Lanes(self.reg_row(r)),
+            LOperand::Imm(v) => Row::Splat(v),
+        }
     }
 
-    #[inline]
-    fn set_pred(&mut self, lane: usize, p: u16, v: bool) {
-        self.preds[lane * self.npreds + usize::from(p)] = v;
-    }
-
+    /// An operand's value in one lane.
     #[inline]
     fn eval(&self, lane: usize, op: LOperand) -> u64 {
         match op {
-            LOperand::Reg(r) => self.reg(lane, r),
+            LOperand::Reg(r) => self.regs[usize::from(r) * self.warp_size + lane],
             LOperand::Imm(v) => v,
         }
     }
 
     /// Mask of lanes (within `mask`) where predicate `p` is true.
+    #[inline]
     fn pred_mask(&self, mask: Mask, p: u16) -> Mask {
-        let mut out = 0;
-        for lane in 0..self.warp_size as usize {
-            if mask & (1 << lane) != 0 && self.pred(lane, p) {
-                out |= 1 << lane;
+        mask & self.preds[usize::from(p)]
+    }
+
+    /// Evaluates `f` over every lane into a stack row, then writes the
+    /// row's `active` lanes to register `dst`.
+    #[inline]
+    fn alu(&mut self, dst: u16, active: Mask, f: impl FnOnce(&Self, &mut [u64])) {
+        let mut buf = [0; MAX_LANES];
+        let out = &mut buf[..self.warp_size];
+        f(self, out);
+        let row = &mut self.regs[usize::from(dst) * self.warp_size..][..self.warp_size];
+        if active == self.full_mask {
+            row.copy_from_slice(out);
+        } else {
+            for lane in lanes(active) {
+                row[lane] = out[lane];
             }
         }
-        out
     }
 
     /// Runs until the next barrier or completion.
@@ -523,12 +560,8 @@ impl<'p> WarpExec<'p> {
         if inst.guard_pred == NO_GUARD {
             return mask;
         }
-        let p = self.pred_mask(mask, inst.guard_pred);
-        if inst.guard_expected {
-            p
-        } else {
-            mask & !p
-        }
+        let p = self.preds[usize::from(inst.guard_pred)];
+        mask & if inst.guard_expected { p } else { !p }
     }
 
     fn exec_inst(
@@ -543,46 +576,33 @@ impl<'p> WarpExec<'p> {
         if active == 0 {
             return Ok(());
         }
-        let lanes = (0..self.warp_size as usize).filter(|&l| active & (1 << l) != 0);
         match inst.op {
             LOp::Mov { dst, src } => {
-                for lane in lanes {
-                    let v = self.eval(lane, src);
-                    self.set_reg(lane, dst, v);
-                }
+                self.alu(dst, active, |w, out| map1(out, w.row(src), |x| x));
             }
             LOp::Bin { op, dst, a, b } => {
-                for lane in lanes {
-                    let (x, y) = (self.eval(lane, a), self.eval(lane, b));
-                    let v = eval_bin(op, x, y).ok_or(ExecError::DivisionByZero {
+                if divides_by_zero(op, self.row(b), active) {
+                    return Err(ExecError::DivisionByZero {
                         bb,
                         inst_idx,
                         warp: self.warp_ref,
-                    })?;
-                    self.set_reg(lane, dst, v);
+                    });
                 }
+                self.alu(dst, active, |w, out| eval_bin(op, w.row(a), w.row(b), out));
             }
             LOp::Un { op, dst, a } => {
-                for lane in lanes {
-                    let x = self.eval(lane, a);
-                    self.set_reg(lane, dst, eval_un(op, x));
-                }
+                self.alu(dst, active, |w, out| eval_un(op, w.row(a), out));
             }
             LOp::SetP { pred, op, a, b } => {
-                for lane in lanes {
-                    let (x, y) = (self.eval(lane, a), self.eval(lane, b));
-                    self.set_pred(lane, pred, eval_cmp(op, x, y));
-                }
+                let mut buf = [0; MAX_LANES];
+                let bits = eval_cmp(op, self.row(a), self.row(b), &mut buf[..self.warp_size]);
+                // Inactive lanes keep their predicate bits.
+                let p = &mut self.preds[usize::from(pred)];
+                *p = (*p & !active) | (bits & active);
             }
             LOp::Sel { dst, pred, a, b } => {
-                for lane in lanes {
-                    let v = if self.pred(lane, pred) {
-                        self.eval(lane, a)
-                    } else {
-                        self.eval(lane, b)
-                    };
-                    self.set_reg(lane, dst, v);
-                }
+                let p = self.preds[usize::from(pred)];
+                self.alu(dst, active, |w, out| select(p, w.row(a), w.row(b), out));
             }
             LOp::Ld {
                 dst,
@@ -591,7 +611,7 @@ impl<'p> WarpExec<'p> {
                 width,
             } => {
                 env.batch.begin_event(bb, inst_idx, space, AccessKind::Read);
-                for lane in lanes {
+                for lane in lanes(active) {
                     let a = self.eval(lane, addr);
                     env.batch.push_addr(lane as u8, a);
                     match self.load(space, lane, a, width, env) {
@@ -618,7 +638,7 @@ impl<'p> WarpExec<'p> {
             } => {
                 env.batch
                     .begin_event(bb, inst_idx, space, AccessKind::Write);
-                for lane in lanes {
+                for lane in lanes(active) {
                     let a = self.eval(lane, addr);
                     let v = self.eval(lane, value);
                     env.batch.push_addr(lane as u8, a);
@@ -643,12 +663,10 @@ impl<'p> WarpExec<'p> {
                         index,
                         provided: env.args.len(),
                     })?;
-                for lane in lanes {
-                    self.set_reg(lane, dst, v);
-                }
+                self.alu(dst, active, |_, out| out.fill(v));
             }
             LOp::Special { dst, sr } => {
-                for lane in lanes {
+                for lane in lanes(active) {
                     let v = self.special(lane, sr);
                     self.set_reg(lane, dst, v);
                 }
@@ -666,7 +684,7 @@ impl<'p> WarpExec<'p> {
                     .begin_event(bb, inst_idx, space, AccessKind::Atomic);
                 // Lanes serialise in lane order — a deterministic pick of
                 // the order hardware serialises atomics in.
-                for lane in lanes {
+                for lane in lanes(active) {
                     let a = self.eval(lane, addr);
                     let v = self.eval(lane, value);
                     env.batch.push_addr(lane as u8, a);
@@ -709,48 +727,39 @@ impl<'p> WarpExec<'p> {
                 src,
                 lane: lane_sel,
             } => {
-                // Snapshot the source register across all lanes first:
-                // every lane reads its peer's *pre-instruction* value.
-                let snapshot: Vec<u64> = (0..self.warp_size as usize)
-                    .map(|l| self.reg(l, src))
-                    .collect();
-                let ws = self.warp_size as usize;
-                for lane in lanes {
-                    let sel = self.eval(lane, lane_sel) as usize;
-                    let peer = match mode {
-                        ShflMode::Xor => (lane ^ sel) % ws,
-                        ShflMode::Idx => sel % ws,
-                    };
-                    // Inactive peer: keep own value (hardware leaves it
-                    // undefined; a deterministic choice is required here).
-                    let v = if active & (1 << peer) != 0 {
-                        snapshot[peer]
-                    } else {
-                        snapshot[lane]
-                    };
-                    self.set_reg(lane, dst, v);
-                }
+                // The result row is built before any lane writes, so every
+                // lane reads its peer's *pre-instruction* value.
+                self.alu(dst, active, |w, out| {
+                    let (src, sel, ws) = (w.reg_row(src), w.row(lane_sel), w.warp_size);
+                    for (lane, o) in out.iter_mut().enumerate() {
+                        let sel = sel.at(lane) as usize;
+                        let peer = match mode {
+                            ShflMode::Xor => (lane ^ sel) % ws,
+                            ShflMode::Idx => sel % ws,
+                        };
+                        // Inactive peer: keep own value (hardware leaves it
+                        // undefined; a deterministic choice is required here).
+                        *o = if active & (1 << peer) != 0 {
+                            src[peer]
+                        } else {
+                            src[lane]
+                        };
+                    }
+                });
             }
             LOp::Ballot { dst, pred } => {
                 let mask = self.pred_mask(active, pred);
-                for lane in lanes {
-                    self.set_reg(lane, dst, mask);
-                }
+                self.alu(dst, active, |_, out| out.fill(mask));
             }
             LOp::Tex { dst, slot, x, y } => {
                 let texture = env
                     .mem
                     .texture(slot)
                     .ok_or(ExecError::UnboundTexture { slot })?;
-                // Gather coordinates first (immutable self), then fetch and
-                // write back — `texture` borrows env.mem, disjoint from
-                // self and env.batch.
-                let coords: Vec<(usize, i64, i64)> = lanes
-                    .map(|lane| (lane, self.eval(lane, x) as i64, self.eval(lane, y) as i64))
-                    .collect();
                 env.batch
                     .begin_event(bb, inst_idx, MemSpace::Texture, AccessKind::Read);
-                for (lane, xi, yi) in coords {
+                for lane in lanes(active) {
+                    let (xi, yi) = (self.eval(lane, x) as i64, self.eval(lane, y) as i64);
                     let (texel, idx) = texture.fetch(xi, yi);
                     env.batch.push_addr(lane as u8, idx);
                     self.set_reg(lane, dst, u64::from(texel));
@@ -835,81 +844,170 @@ impl<'p> WarpExec<'p> {
     }
 }
 
+/// An ALU operand across the warp: a register row, or an immediate every
+/// lane reads.
+#[derive(Clone, Copy)]
+enum Row<'a> {
+    Lanes(&'a [u64]),
+    Splat(u64),
+}
+
+impl Row<'_> {
+    /// The operand's value in `lane`.
+    #[inline]
+    fn at(self, lane: usize) -> u64 {
+        match self {
+            Row::Lanes(row) => row[lane],
+            Row::Splat(v) => v,
+        }
+    }
+}
+
+/// `out[l] = f(a[l])` over every lane, one monomorphic loop per operand
+/// shape.
+#[inline(always)]
+fn map1(out: &mut [u64], a: Row<'_>, f: impl Fn(u64) -> u64) {
+    match a {
+        Row::Lanes(a) => {
+            for (o, &x) in out.iter_mut().zip(a) {
+                *o = f(x);
+            }
+        }
+        Row::Splat(x) => out.fill(f(x)),
+    }
+}
+
+/// `out[l] = f(a[l], b[l])` over every lane, one monomorphic loop per
+/// operand shape.
+#[inline(always)]
+fn map2(out: &mut [u64], a: Row<'_>, b: Row<'_>, f: impl Fn(u64, u64) -> u64) {
+    match (a, b) {
+        (Row::Lanes(a), Row::Lanes(b)) => {
+            for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                *o = f(x, y);
+            }
+        }
+        (Row::Lanes(a), Row::Splat(y)) => {
+            for (o, &x) in out.iter_mut().zip(a) {
+                *o = f(x, y);
+            }
+        }
+        (Row::Splat(x), Row::Lanes(b)) => {
+            for (o, &y) in out.iter_mut().zip(b) {
+                *o = f(x, y);
+            }
+        }
+        (Row::Splat(x), Row::Splat(y)) => out.fill(f(x, y)),
+    }
+}
+
 fn f32_of(bits: u64) -> f32 {
     f32::from_bits(bits as u32)
 }
 
+/// The register bits of an `F*` result; every NaN becomes the ISA's
+/// [`CANONICAL_NAN`].
 fn bits_of(v: f32) -> u64 {
-    u64::from(v.to_bits())
+    if v.is_nan() {
+        u64::from(CANONICAL_NAN)
+    } else {
+        u64::from(v.to_bits())
+    }
 }
 
-/// Evaluates a binary ALU operation; `None` signals division by zero.
-fn eval_bin(op: BinOp, a: u64, b: u64) -> Option<u64> {
-    Some(match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::DivU => a.checked_div(b)?,
-        BinOp::RemU => a.checked_rem(b)?,
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
-        BinOp::Shl => a.wrapping_shl(b as u32),
-        BinOp::Shr => a.wrapping_shr(b as u32),
-        BinOp::Sar => (a as i64).wrapping_shr(b as u32) as u64,
-        BinOp::MinU => a.min(b),
-        BinOp::MaxU => a.max(b),
-        BinOp::MinS => ((a as i64).min(b as i64)) as u64,
-        BinOp::MaxS => ((a as i64).max(b as i64)) as u64,
-        BinOp::FAdd => bits_of(f32_of(a) + f32_of(b)),
-        BinOp::FSub => bits_of(f32_of(a) - f32_of(b)),
-        BinOp::FMul => bits_of(f32_of(a) * f32_of(b)),
-        BinOp::FDiv => bits_of(f32_of(a) / f32_of(b)),
-        BinOp::FMin => bits_of(f32_of(a).min(f32_of(b))),
-        BinOp::FMax => bits_of(f32_of(a).max(f32_of(b))),
-    })
+/// `true` when `op` divides and an *active* lane's divisor is zero — the
+/// one ALU error. Inactive lanes may hold any divisor.
+fn divides_by_zero(op: BinOp, b: Row<'_>, active: Mask) -> bool {
+    matches!(op, BinOp::DivU | BinOp::RemU) && lanes(active).any(|lane| b.at(lane) == 0)
 }
 
-fn eval_un(op: UnOp, a: u64) -> u64 {
+/// Evaluates a binary ALU operation over every lane into `out`. Total: a
+/// zero divisor yields 0, so [`divides_by_zero`] must vet the active lanes
+/// first.
+fn eval_bin(op: BinOp, a: Row<'_>, b: Row<'_>, out: &mut [u64]) {
     match op {
-        UnOp::Not => !a,
-        UnOp::Neg => (a as i64).wrapping_neg() as u64,
-        UnOp::FNeg => bits_of(-f32_of(a)),
-        UnOp::FAbs => bits_of(f32_of(a).abs()),
-        UnOp::FSqrt => bits_of(f32_of(a).sqrt()),
-        UnOp::FExp => bits_of(f32_of(a).exp()),
-        UnOp::FLn => bits_of(f32_of(a).ln()),
-        UnOp::FFloor => bits_of(f32_of(a).floor()),
-        UnOp::I2F => bits_of(a as i64 as f32),
-        UnOp::F2I => {
-            let f = f32_of(a);
+        BinOp::Add => map2(out, a, b, u64::wrapping_add),
+        BinOp::Sub => map2(out, a, b, u64::wrapping_sub),
+        BinOp::Mul => map2(out, a, b, u64::wrapping_mul),
+        BinOp::DivU => map2(out, a, b, |x, y| x.checked_div(y).unwrap_or(0)),
+        BinOp::RemU => map2(out, a, b, |x, y| x.checked_rem(y).unwrap_or(0)),
+        BinOp::And => map2(out, a, b, |x, y| x & y),
+        BinOp::Or => map2(out, a, b, |x, y| x | y),
+        BinOp::Xor => map2(out, a, b, |x, y| x ^ y),
+        BinOp::Shl => map2(out, a, b, |x, y| x.wrapping_shl(y as u32)),
+        BinOp::Shr => map2(out, a, b, |x, y| x.wrapping_shr(y as u32)),
+        BinOp::Sar => map2(out, a, b, |x, y| (x as i64).wrapping_shr(y as u32) as u64),
+        BinOp::MinU => map2(out, a, b, u64::min),
+        BinOp::MaxU => map2(out, a, b, u64::max),
+        BinOp::MinS => map2(out, a, b, |x, y| (x as i64).min(y as i64) as u64),
+        BinOp::MaxS => map2(out, a, b, |x, y| (x as i64).max(y as i64) as u64),
+        BinOp::FAdd => map2(out, a, b, |x, y| bits_of(f32_of(x) + f32_of(y))),
+        BinOp::FSub => map2(out, a, b, |x, y| bits_of(f32_of(x) - f32_of(y))),
+        BinOp::FMul => map2(out, a, b, |x, y| bits_of(f32_of(x) * f32_of(y))),
+        BinOp::FDiv => map2(out, a, b, |x, y| bits_of(f32_of(x) / f32_of(y))),
+        BinOp::FMin => map2(out, a, b, |x, y| bits_of(f32_of(x).min(f32_of(y)))),
+        BinOp::FMax => map2(out, a, b, |x, y| bits_of(f32_of(x).max(f32_of(y)))),
+    }
+}
+
+/// Evaluates a unary ALU operation over every lane into `out`.
+fn eval_un(op: UnOp, a: Row<'_>, out: &mut [u64]) {
+    match op {
+        UnOp::Not => map1(out, a, |x| !x),
+        UnOp::Neg => map1(out, a, |x| (x as i64).wrapping_neg() as u64),
+        UnOp::FNeg => map1(out, a, |x| bits_of(-f32_of(x))),
+        UnOp::FAbs => map1(out, a, |x| bits_of(f32_of(x).abs())),
+        UnOp::FSqrt => map1(out, a, |x| bits_of(f32_of(x).sqrt())),
+        UnOp::FExp => map1(out, a, |x| bits_of(f32_of(x).exp())),
+        UnOp::FLn => map1(out, a, |x| bits_of(f32_of(x).ln())),
+        UnOp::FFloor => map1(out, a, |x| bits_of(f32_of(x).floor())),
+        UnOp::I2F => map1(out, a, |x| bits_of(x as i64 as f32)),
+        UnOp::F2I => map1(out, a, |x| {
+            let f = f32_of(x);
             if f.is_nan() {
                 0
             } else {
                 (f as i64) as u64
             }
-        }
+        }),
     }
 }
 
-fn eval_cmp(op: CmpOp, a: u64, b: u64) -> bool {
+/// Evaluates a comparison over every lane, using `scratch` (one slot per
+/// lane) for the per-lane results, and returns them as a lane mask.
+fn eval_cmp(op: CmpOp, a: Row<'_>, b: Row<'_>, scratch: &mut [u64]) -> Mask {
     match op {
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-        CmpOp::LtU => a < b,
-        CmpOp::LeU => a <= b,
-        CmpOp::GtU => a > b,
-        CmpOp::GeU => a >= b,
-        CmpOp::LtS => (a as i64) < (b as i64),
-        CmpOp::LeS => (a as i64) <= (b as i64),
-        CmpOp::GtS => (a as i64) > (b as i64),
-        CmpOp::GeS => (a as i64) >= (b as i64),
-        CmpOp::FLt => f32_of(a) < f32_of(b),
-        CmpOp::FLe => f32_of(a) <= f32_of(b),
-        CmpOp::FGt => f32_of(a) > f32_of(b),
-        CmpOp::FGe => f32_of(a) >= f32_of(b),
-        CmpOp::FEq => f32_of(a) == f32_of(b),
-        CmpOp::FNe => f32_of(a) != f32_of(b),
+        CmpOp::Eq => map2(scratch, a, b, |x, y| u64::from(x == y)),
+        CmpOp::Ne => map2(scratch, a, b, |x, y| u64::from(x != y)),
+        CmpOp::LtU => map2(scratch, a, b, |x, y| u64::from(x < y)),
+        CmpOp::LeU => map2(scratch, a, b, |x, y| u64::from(x <= y)),
+        CmpOp::GtU => map2(scratch, a, b, |x, y| u64::from(x > y)),
+        CmpOp::GeU => map2(scratch, a, b, |x, y| u64::from(x >= y)),
+        CmpOp::LtS => map2(scratch, a, b, |x, y| u64::from((x as i64) < (y as i64))),
+        CmpOp::LeS => map2(scratch, a, b, |x, y| u64::from((x as i64) <= (y as i64))),
+        CmpOp::GtS => map2(scratch, a, b, |x, y| u64::from((x as i64) > (y as i64))),
+        CmpOp::GeS => map2(scratch, a, b, |x, y| u64::from((x as i64) >= (y as i64))),
+        CmpOp::FLt => map2(scratch, a, b, |x, y| u64::from(f32_of(x) < f32_of(y))),
+        CmpOp::FLe => map2(scratch, a, b, |x, y| u64::from(f32_of(x) <= f32_of(y))),
+        CmpOp::FGt => map2(scratch, a, b, |x, y| u64::from(f32_of(x) > f32_of(y))),
+        CmpOp::FGe => map2(scratch, a, b, |x, y| u64::from(f32_of(x) >= f32_of(y))),
+        CmpOp::FEq => map2(scratch, a, b, |x, y| u64::from(f32_of(x) == f32_of(y))),
+        CmpOp::FNe => map2(scratch, a, b, |x, y| u64::from(f32_of(x) != f32_of(y))),
+    }
+    scratch
+        .iter()
+        .enumerate()
+        .fold(0, |mask, (lane, &bit)| mask | bit << lane)
+}
+
+/// `out[l] = if p has lane l { a[l] } else { b[l] }` over every lane.
+fn select(p: Mask, a: Row<'_>, b: Row<'_>, out: &mut [u64]) {
+    for (lane, o) in out.iter_mut().enumerate() {
+        *o = if p >> lane & 1 != 0 {
+            a.at(lane)
+        } else {
+            b.at(lane)
+        };
     }
 }
 
@@ -917,42 +1015,64 @@ fn eval_cmp(op: CmpOp, a: u64, b: u64) -> bool {
 mod tests {
     use super::*;
 
+    /// One lane's `eval_bin`, with its `divides_by_zero` check as `None`.
+    fn bin(op: BinOp, a: u64, b: u64) -> Option<u64> {
+        let mut out = [0];
+        if divides_by_zero(op, Row::Splat(b), 1) {
+            return None;
+        }
+        eval_bin(op, Row::Splat(a), Row::Splat(b), &mut out);
+        Some(out[0])
+    }
+
+    fn un(op: UnOp, a: u64) -> u64 {
+        let mut out = [0];
+        eval_un(op, Row::Lanes(&[a]), &mut out);
+        out[0]
+    }
+
+    fn cmp(op: CmpOp, a: u64, b: u64) -> bool {
+        eval_cmp(op, Row::Lanes(&[a]), Row::Splat(b), &mut [0]) == 1
+    }
+
     #[test]
     fn bin_ops_basic() {
-        assert_eq!(eval_bin(BinOp::Add, u64::MAX, 1), Some(0));
-        assert_eq!(eval_bin(BinOp::Sub, 0, 1), Some(u64::MAX));
-        assert_eq!(eval_bin(BinOp::DivU, 7, 2), Some(3));
-        assert_eq!(eval_bin(BinOp::DivU, 7, 0), None);
-        assert_eq!(eval_bin(BinOp::RemU, 7, 0), None);
-        assert_eq!(
-            eval_bin(BinOp::MinS, (-1i64) as u64, 1),
-            Some((-1i64) as u64)
-        );
-        assert_eq!(eval_bin(BinOp::MaxU, (-1i64) as u64, 1), Some(u64::MAX));
-        assert_eq!(
-            eval_bin(BinOp::Sar, (-8i64) as u64, 2),
-            Some((-2i64) as u64)
-        );
+        assert_eq!(bin(BinOp::Add, u64::MAX, 1), Some(0));
+        assert_eq!(bin(BinOp::Sub, 0, 1), Some(u64::MAX));
+        assert_eq!(bin(BinOp::DivU, 7, 2), Some(3));
+        assert_eq!(bin(BinOp::DivU, 7, 0), None);
+        assert_eq!(bin(BinOp::RemU, 7, 0), None);
+        assert_eq!(bin(BinOp::MinS, (-1i64) as u64, 1), Some((-1i64) as u64));
+        assert_eq!(bin(BinOp::MaxU, (-1i64) as u64, 1), Some(u64::MAX));
+        assert_eq!(bin(BinOp::Sar, (-8i64) as u64, 2), Some((-2i64) as u64));
+        // A zero divisor in an inactive lane is no error, and evaluates
+        // to 0 there.
+        let divisors = [2, 0];
+        assert!(!divides_by_zero(BinOp::DivU, Row::Lanes(&divisors), 0b01));
+        assert!(divides_by_zero(BinOp::DivU, Row::Lanes(&divisors), 0b11));
+        let mut out = [9; 2];
+        eval_bin(BinOp::DivU, Row::Splat(7), Row::Lanes(&divisors), &mut out);
+        assert_eq!(out, [3, 0]);
     }
 
     #[test]
     fn float_ops_roundtrip_bits() {
         let a = bits_of(1.5);
         let b = bits_of(2.0);
-        assert_eq!(eval_bin(BinOp::FMul, a, b), Some(bits_of(3.0)));
-        assert_eq!(eval_un(UnOp::FSqrt, bits_of(9.0)), bits_of(3.0));
-        assert_eq!(eval_un(UnOp::I2F, (-3i64) as u64), bits_of(-3.0));
-        assert_eq!(eval_un(UnOp::F2I, bits_of(-3.7)), (-3i64) as u64);
-        assert_eq!(eval_un(UnOp::F2I, bits_of(f32::NAN)), 0);
+        assert_eq!(bin(BinOp::FMul, a, b), Some(bits_of(3.0)));
+        assert_eq!(un(UnOp::FSqrt, bits_of(9.0)), bits_of(3.0));
+        assert_eq!(un(UnOp::I2F, (-3i64) as u64), bits_of(-3.0));
+        assert_eq!(un(UnOp::F2I, bits_of(-3.7)), (-3i64) as u64);
+        assert_eq!(un(UnOp::F2I, bits_of(f32::NAN)), 0);
     }
 
     #[test]
     fn cmp_ops_signedness() {
         let neg1 = (-1i64) as u64;
-        assert!(eval_cmp(CmpOp::LtS, neg1, 0));
-        assert!(!eval_cmp(CmpOp::LtU, neg1, 0));
-        assert!(eval_cmp(CmpOp::FLt, bits_of(-1.0), bits_of(0.0)));
-        assert!(!eval_cmp(CmpOp::FLt, bits_of(f32::NAN), bits_of(0.0)));
-        assert!(eval_cmp(CmpOp::FNe, bits_of(f32::NAN), bits_of(f32::NAN)));
+        assert!(cmp(CmpOp::LtS, neg1, 0));
+        assert!(!cmp(CmpOp::LtU, neg1, 0));
+        assert!(cmp(CmpOp::FLt, bits_of(-1.0), bits_of(0.0)));
+        assert!(!cmp(CmpOp::FLt, bits_of(f32::NAN), bits_of(0.0)));
+        assert!(cmp(CmpOp::FNe, bits_of(f32::NAN), bits_of(f32::NAN)));
     }
 }

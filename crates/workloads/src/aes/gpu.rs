@@ -117,20 +117,20 @@ fn build_kernel(name: &str, style: LookupStyle, rounds: u32) -> KernelProgram {
     b.finish()
 }
 
-/// Serialises the lookup tables into the layout the kernel expects.
-fn tables_bytes() -> Vec<u8> {
-    let te = t_tables();
-    let s = sbox();
-    let mut out = Vec::with_capacity(TABLES_BYTES);
-    for table in &te {
-        for &w in table.iter() {
+/// The lookup tables in the layout the kernel expects. Every encryption
+/// uploads the same bytes, so they are serialised once.
+fn tables_bytes() -> &'static [u8] {
+    static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    BYTES.get_or_init(|| {
+        let mut out = Vec::with_capacity(TABLES_BYTES);
+        for &w in t_tables().iter().flatten() {
             out.extend_from_slice(&w.to_le_bytes());
         }
-    }
-    for &v in s.iter() {
-        out.extend_from_slice(&u32::from(v).to_le_bytes());
-    }
-    out
+        for &v in sbox().iter() {
+            out.extend_from_slice(&u32::from(v).to_le_bytes());
+        }
+        out
+    })
 }
 
 /// Shared host-side driver for both variants.
@@ -159,7 +159,7 @@ impl AesWorkload {
         let n = self.blocks as usize;
 
         let tables = dev.malloc(TABLES_BYTES);
-        dev.memcpy_h2d(tables, &tables_bytes())?;
+        dev.memcpy_h2d(tables, tables_bytes())?;
 
         let rk_buf = dev.malloc(44 * 4);
         let rk_bytes: Vec<u8> = rk.iter().flat_map(|w| w.to_le_bytes()).collect();

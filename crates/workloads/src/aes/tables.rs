@@ -6,6 +6,8 @@
 //! tables are generated from first principles (GF(2⁸) arithmetic) rather
 //! than transcribed, and validated against FIPS-197 vectors in the tests.
 
+use std::sync::OnceLock;
+
 /// Multiplication in GF(2⁸) with the AES polynomial x⁸+x⁴+x³+x+1.
 fn gf_mul(mut a: u8, mut b: u8) -> u8 {
     let mut p = 0u8;
@@ -24,44 +26,57 @@ fn gf_mul(mut a: u8, mut b: u8) -> u8 {
 }
 
 /// The AES S-box, generated as the affine transform of the multiplicative
-/// inverse in GF(2⁸).
-pub fn sbox() -> [u8; 256] {
-    let mut inv = [0u8; 256];
-    for x in 1..=255u8 {
-        for y in 1..=255u8 {
-            if gf_mul(x, y) == 1 {
-                inv[x as usize] = y;
-                break;
+/// inverse in GF(2⁸). Built on first use and shared after that: the
+/// brute-force inversion would otherwise dominate every encryption's host
+/// time.
+pub fn sbox() -> &'static [u8; 256] {
+    static SBOX: OnceLock<[u8; 256]> = OnceLock::new();
+    SBOX.get_or_init(|| {
+        let mut inv = [0u8; 256];
+        for x in 1..=255u8 {
+            for y in 1..=255u8 {
+                if gf_mul(x, y) == 1 {
+                    inv[x as usize] = y;
+                    break;
+                }
             }
         }
-    }
-    let mut s = [0u8; 256];
-    for x in 0..256 {
-        let i = inv[x];
-        s[x] = i ^ i.rotate_left(1) ^ i.rotate_left(2) ^ i.rotate_left(3) ^ i.rotate_left(4) ^ 0x63;
-    }
-    s
+        let mut s = [0u8; 256];
+        for x in 0..256 {
+            let i = inv[x];
+            s[x] = i
+                ^ i.rotate_left(1)
+                ^ i.rotate_left(2)
+                ^ i.rotate_left(3)
+                ^ i.rotate_left(4)
+                ^ 0x63;
+        }
+        s
+    })
 }
 
-/// The four encryption T-tables.
+/// The four encryption T-tables, built on first use.
 ///
 /// `Te0[x] = (2·S[x], S[x], S[x], 3·S[x])` packed big-endian;
 /// `Te1..Te3` are byte rotations of `Te0`.
-pub fn t_tables() -> [[u32; 256]; 4] {
-    let s = sbox();
-    let mut te = [[0u32; 256]; 4];
-    for x in 0..256 {
-        let sx = s[x];
-        let t0 = (u32::from(gf_mul(sx, 2)) << 24)
-            | (u32::from(sx) << 16)
-            | (u32::from(sx) << 8)
-            | u32::from(gf_mul(sx, 3));
-        te[0][x] = t0;
-        te[1][x] = t0.rotate_right(8);
-        te[2][x] = t0.rotate_right(16);
-        te[3][x] = t0.rotate_right(24);
-    }
-    te
+pub fn t_tables() -> &'static [[u32; 256]; 4] {
+    static TE: OnceLock<[[u32; 256]; 4]> = OnceLock::new();
+    TE.get_or_init(|| {
+        let s = sbox();
+        let mut te = [[0u32; 256]; 4];
+        for x in 0..256 {
+            let sx = s[x];
+            let t0 = (u32::from(gf_mul(sx, 2)) << 24)
+                | (u32::from(sx) << 16)
+                | (u32::from(sx) << 8)
+                | u32::from(gf_mul(sx, 3));
+            te[0][x] = t0;
+            te[1][x] = t0.rotate_right(8);
+            te[2][x] = t0.rotate_right(16);
+            te[3][x] = t0.rotate_right(24);
+        }
+        te
+    })
 }
 
 /// Expands a 16-byte key into 44 round-key words (AES-128).

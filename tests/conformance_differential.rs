@@ -21,8 +21,8 @@ use std::path::{Path, PathBuf};
 const SEED_BASE: u64 = 0x5EED_0000_0000_0000;
 
 /// Number of generated kernels per sweep. Override with
-/// `OWL_CONFORMANCE_CASES` for deeper local soak runs; the default meets
-/// the ≥256-kernels-per-CI-run floor.
+/// `OWL_CONFORMANCE_CASES`; CI's conformance job sweeps 4,096, and deeper
+/// local soak runs go further.
 fn cases() -> u64 {
     std::env::var("OWL_CONFORMANCE_CASES")
         .ok()
@@ -58,7 +58,7 @@ fn persist_counterexample(seed: u64, kernel: &GeneratedKernel, err: &str) -> ! {
     );
 }
 
-/// The sweep: ≥256 fixed-seed kernels, each executed by both interpreters
+/// The sweep: fixed-seed kernels, each executed by both interpreters
 /// with every observable compared. Zero divergence is the bar.
 #[test]
 fn generated_kernels_agree_across_interpreters() {
