@@ -46,27 +46,62 @@ impl<I> FilterOutcome<I> {
 /// Panics if `inputs` and `traces` have different lengths.
 pub fn filter_traces<I: Clone>(inputs: &[I], traces: Vec<ProgramTrace>) -> FilterOutcome<I> {
     assert_eq!(inputs.len(), traces.len(), "one trace per input");
-    let total = inputs.len();
-    let mut classes: Vec<InputClass<I>> = Vec::new();
-    // digest → candidate class indices (collision-safe).
-    let mut by_digest: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (idx, (input, trace)) in inputs.iter().zip(traces).enumerate() {
-        let digest = trace.digest();
-        let candidates = by_digest.entry(digest).or_default();
-        if let Some(&class_idx) = candidates.iter().find(|&&ci| classes[ci].trace == trace) {
-            classes[class_idx].members.push(idx);
+    let mut filter = ClassFilter::default();
+    for (input, trace) in inputs.iter().zip(traces) {
+        filter.push(input, trace);
+    }
+    filter.finish()
+}
+
+/// [`filter_traces`] one input at a time: each trace is filed under its
+/// class as it arrives and only one trace per class is kept, so a
+/// detection never holds every user input's trace at once.
+pub(crate) struct ClassFilter<I> {
+    classes: Vec<InputClass<I>>,
+    /// digest → candidate class indices (collision-safe).
+    by_digest: HashMap<u64, Vec<usize>>,
+    /// Inputs filed so far; the next one is member index `inputs`.
+    inputs: usize,
+}
+
+impl<I> Default for ClassFilter<I> {
+    fn default() -> Self {
+        ClassFilter {
+            classes: Vec::new(),
+            by_digest: HashMap::new(),
+            inputs: 0,
+        }
+    }
+}
+
+impl<I: Clone> ClassFilter<I> {
+    /// Files the next input under the class of `trace`, opening a new class
+    /// represented by `input` when no earlier trace equals it.
+    pub(crate) fn push(&mut self, input: &I, trace: ProgramTrace) {
+        let idx = self.inputs;
+        self.inputs += 1;
+        let candidates = self.by_digest.entry(trace.digest()).or_default();
+        if let Some(&class_idx) = candidates
+            .iter()
+            .find(|&&ci| self.classes[ci].trace == trace)
+        {
+            self.classes[class_idx].members.push(idx);
         } else {
-            candidates.push(classes.len());
-            classes.push(InputClass {
+            candidates.push(self.classes.len());
+            self.classes.push(InputClass {
                 representative: input.clone(),
                 trace,
                 members: vec![idx],
             });
         }
     }
-    FilterOutcome {
-        duplicates_removed: total - classes.len(),
-        classes,
+
+    /// The classes, in order of first appearance.
+    pub(crate) fn finish(self) -> FilterOutcome<I> {
+        FilterOutcome {
+            duplicates_removed: self.inputs - self.classes.len(),
+            classes: self.classes,
+        }
     }
 }
 

@@ -5,9 +5,9 @@ use crate::engine::{Engine, EngineComparison};
 use crate::error::{DetectError, DetectPhase, RunContext};
 use crate::evidence::Evidence;
 use crate::fault::{FaultRecord, RetryPolicy, RunAttempt};
-use crate::filter::{filter_traces, FilterOutcome};
+use crate::filter::{ClassFilter, FilterOutcome};
 use crate::govern::{CancelToken, ResourceBudget, ResourceKind};
-use crate::parallel::parallel_map;
+use crate::parallel::parallel_fold;
 use crate::program::TracedProgram;
 use crate::record::{Recorder, RunSpec};
 use crate::report::LeakReport;
@@ -289,9 +289,8 @@ pub struct PhaseStats {
     pub test_time: Duration,
     /// The merged random evidence plus the largest merged fixed evidence,
     /// in bytes: the footprint of one class's distribution test. Not the
-    /// resident peak: the evidence phase holds every chunk's partial
-    /// evidence until the in-order merge, and every class's merged
-    /// evidence after it.
+    /// resident peak: the evidence phase holds every class's merged
+    /// evidence, plus up to `4 × workers` chunk partials waiting to merge.
     pub peak_evidence_bytes: usize,
     /// Total wall time of the detection.
     pub total_time: Duration,
@@ -347,6 +346,50 @@ pub struct Detection<I> {
     /// ran with [`OwlConfig::compare_engines`] and the analysis phase
     /// executed (deterministic like the report itself).
     pub engine_comparison: Option<EngineComparison>,
+}
+
+/// The evidence phase's work items, derived from the item index alone so
+/// the plan is O(1) in `runs`: item `i` is chunk `i % per_set` of evidence
+/// set `i / per_set`, where set 0 is the shared `E_rnd` and set `c + 1` is
+/// class `c`'s `E_fix`. Item order is today's fold order: the random
+/// chunks, then each class's fixed chunks, each set in run order.
+struct EvidencePlan {
+    runs: usize,
+    /// Chunks per evidence set.
+    per_set: usize,
+    /// Work items over every set.
+    items: usize,
+}
+
+impl EvidencePlan {
+    /// # Panics
+    ///
+    /// Panics if the sets hold more than `usize::MAX` chunks between them.
+    fn new(runs: usize, classes: usize) -> Self {
+        let per_set = runs.div_ceil(EVIDENCE_CHUNK);
+        let items = per_set
+            .checked_mul(classes + 1)
+            .expect("the evidence plan has at most usize::MAX chunks");
+        EvidencePlan {
+            runs,
+            per_set,
+            items,
+        }
+    }
+
+    /// Work item `i`, for `i < self.items`.
+    fn item(&self, i: usize) -> EvidenceItem {
+        let class = (i / self.per_set).checked_sub(1);
+        let start = (i % self.per_set)
+            .checked_mul(EVIDENCE_CHUNK)
+            .expect("a chunk starts below `runs`");
+        EvidenceItem {
+            class,
+            stream: class.map_or(STREAM_RND, fix_stream),
+            start,
+            end: start + (self.runs - start).min(EVIDENCE_CHUNK),
+        }
+    }
 }
 
 /// One evidence-phase work item: a contiguous chunk of run indices for one
@@ -640,40 +683,46 @@ where
         self.recorder.cancel.as_ref()
     }
 
-    /// Phases 1 and 2: records one trace per user input (fanned out,
-    /// collected in input order) and filters them into classes. Counters
-    /// merge in input order; u64 addition commutes, so the totals match
-    /// the serial run. Failed inputs are quarantined in input order and
-    /// excluded from filtering — their loss blocks any clean verdict.
+    /// Phases 1 and 2: records one trace per user input (fanned out) and
+    /// files each one, in input order, under its class as it lands — only
+    /// one trace per class is kept. Counters merge in input order; u64
+    /// addition commutes, so the totals match the serial run. Failed inputs
+    /// are quarantined in input order and excluded from filtering — their
+    /// loss blocks any clean verdict.
     fn filter_user_inputs(
         &self,
         user_inputs: &[P::Input],
         ledger: &mut Ledger,
     ) -> FilterOutcome<P::Input> {
         let started = Instant::now();
-        let attempts = parallel_map(self.workers, user_inputs.len(), self.token(), |i| {
-            self.recorder
-                .record(self.program, &user_inputs[i], &self.spec(STREAM_USER, i))
-        });
-        let mut kept_inputs = Vec::with_capacity(user_inputs.len());
-        let mut traces = Vec::with_capacity(user_inputs.len());
-        for (i, slot) in attempts.into_iter().enumerate() {
-            let context = run_context(DetectPhase::TraceCollection, None, STREAM_USER, i);
-            if let Some((trace, run_counters)) = settle(
-                slot.unwrap_or_else(lost_item),
-                context,
-                &mut ledger.fault_counters.trace_collection,
-                &mut ledger.faults,
-            ) {
-                ledger.counters.merge(&run_counters);
-                kept_inputs.push(user_inputs[i].clone());
-                traces.push(trace);
-            }
-        }
-        ledger.stats.trace_bytes =
-            traces.iter().map(|t| t.size_bytes()).sum::<usize>() / traces.len().max(1);
-        ledger.lost |= kept_inputs.len() < user_inputs.len();
-        let filter = filter_traces(&kept_inputs, traces);
+        let mut filter = ClassFilter::default();
+        let (mut kept, mut trace_bytes) = (0usize, 0usize);
+        parallel_fold(
+            self.workers,
+            user_inputs.len(),
+            self.token(),
+            |i| {
+                self.recorder
+                    .record(self.program, &user_inputs[i], &self.spec(STREAM_USER, i))
+            },
+            |i, slot| {
+                let context = run_context(DetectPhase::TraceCollection, None, STREAM_USER, i);
+                if let Some((trace, run_counters)) = settle(
+                    slot.unwrap_or_else(lost_item),
+                    context,
+                    &mut ledger.fault_counters.trace_collection,
+                    &mut ledger.faults,
+                ) {
+                    ledger.counters.merge(&run_counters);
+                    kept += 1;
+                    trace_bytes += trace.size_bytes();
+                    filter.push(&user_inputs[i], trace);
+                }
+            },
+        );
+        ledger.stats.trace_bytes = trace_bytes / kept.max(1);
+        ledger.lost |= kept < user_inputs.len();
+        let filter = filter.finish();
         ledger.stats.trace_collection_time = started.elapsed();
         ledger
             .spans
@@ -683,9 +732,10 @@ where
 
     /// Phase 3, evidence: one work item per run chunk, for the shared
     /// random evidence and every class's fixed evidence alike. Workers
-    /// fold their chunk into a partial [`Evidence`], and the partials merge
-    /// in chunk order. Then the evidence budget and the per-set quorum are
-    /// checked.
+    /// fold their chunk into a partial [`Evidence`], and each partial
+    /// merges into its set in chunk order as soon as every earlier chunk
+    /// has, so only a fixed window of partials is ever resident. Then the
+    /// evidence budget and the per-set quorum are checked.
     fn collect_evidence(
         &self,
         filter: &FilterOutcome<P::Input>,
@@ -694,63 +744,55 @@ where
         let config = self.config;
         let started = Instant::now();
         let classes = filter.classes.len();
-        let mut items = Vec::new();
-        for class in std::iter::once(None).chain((0..classes).map(Some)) {
-            let stream = class.map_or(STREAM_RND, fix_stream);
-            for start in (0..config.runs).step_by(EVIDENCE_CHUNK) {
-                let end = (start + EVIDENCE_CHUNK).min(config.runs);
-                items.push(EvidenceItem {
-                    class,
-                    stream,
-                    start,
-                    end,
-                });
-            }
-        }
-        let evidence_workers = self.workers.min(items.len()).max(1);
-        let chunks = parallel_map(evidence_workers, items.len(), self.token(), |i| {
-            self.record_chunk(&items[i], filter)
-        });
+        let plan = EvidencePlan::new(config.runs, classes);
+        let evidence_workers = self.workers.min(plan.items).max(1);
         let mut rnd = Evidence::default();
         let mut rnd_kept = 0usize;
         let mut fixes = vec![Evidence::default(); classes];
         let mut fix_kept = vec![0usize; classes];
-        for (item, slot) in items.iter().zip(chunks) {
-            match slot {
-                Ok(chunk) => {
-                    ledger.stats.evidence_cpu_time += chunk.elapsed;
-                    ledger.counters.merge(&chunk.counters);
-                    ledger.fault_counters.evidence.merge(&chunk.fault_counters);
-                    ledger.faults.extend(chunk.faults);
-                    let (set, kept) = match item.class {
-                        None => (&mut rnd, &mut rnd_kept),
-                        Some(c) => (&mut fixes[c], &mut fix_kept[c]),
-                    };
-                    set.merge(chunk.partial);
-                    *kept += chunk.kept;
+        parallel_fold(
+            evidence_workers,
+            plan.items,
+            self.token(),
+            |i| self.record_chunk(&plan.item(i), filter),
+            |i, slot| {
+                let item = plan.item(i);
+                match slot {
+                    Ok(chunk) => {
+                        ledger.stats.evidence_cpu_time += chunk.elapsed;
+                        ledger.counters.merge(&chunk.counters);
+                        ledger.fault_counters.evidence.merge(&chunk.fault_counters);
+                        ledger.faults.extend(chunk.faults);
+                        let (set, kept) = match item.class {
+                            None => (&mut rnd, &mut rnd_kept),
+                            Some(c) => (&mut fixes[c], &mut fix_kept[c]),
+                        };
+                        set.merge(chunk.partial);
+                        *kept += chunk.kept;
+                    }
+                    Err(error) => {
+                        // The recorder catches program panics, so losing a
+                        // whole chunk is a bookkeeping bug — quarantine every
+                        // run in it deterministically rather than abort.
+                        let lost = (item.end - item.start) as u64;
+                        let counters = &mut ledger.fault_counters.evidence;
+                        counters.panics += 1;
+                        counters.failed_attempts += lost;
+                        counters.quarantined += lost;
+                        let context =
+                            run_context(DetectPhase::Evidence, item.class, item.stream, item.start);
+                        ledger.faults.push(FaultRecord {
+                            context,
+                            attempts: 1,
+                            error,
+                        });
+                    }
                 }
-                Err(error) => {
-                    // The recorder catches program panics, so losing a
-                    // whole chunk is a bookkeeping bug — quarantine every
-                    // run in it deterministically rather than abort.
-                    let lost = (item.end - item.start) as u64;
-                    let counters = &mut ledger.fault_counters.evidence;
-                    counters.panics += 1;
-                    counters.failed_attempts += lost;
-                    counters.quarantined += lost;
-                    let context =
-                        run_context(DetectPhase::Evidence, item.class, item.stream, item.start);
-                    ledger.faults.push(FaultRecord {
-                        context,
-                        attempts: 1,
-                        error,
-                    });
-                }
-            }
-        }
+            },
+        );
         ledger.stats.evidence_time = started.elapsed();
         ledger.spans.record("evidence", ledger.stats.evidence_time);
-        ledger.stats.evidence_traces = config.runs * (1 + classes);
+        ledger.stats.evidence_traces = config.runs.saturating_mul(1 + classes);
         ledger.stats.evidence_workers = evidence_workers;
         ledger.stats.peak_evidence_bytes =
             rnd.size_bytes() + fixes.iter().map(Evidence::size_bytes).max().unwrap_or(0);
@@ -876,47 +918,53 @@ where
         } else {
             std::slice::from_ref(&config.method)
         };
-        // Cancellation is snapshotted once: either the whole analysis runs
-        // or none of it does, so a deadline racing the fan-out cannot yield
-        // a report built from an unpredictable subset of classes.
-        let cancelled = self.token().is_some_and(CancelToken::is_cancelled);
-        let class_reports: Vec<Result<_, DetectError>> = if cancelled {
-            (0..classes).map(|_| Err(DetectError::Cancelled)).collect()
-        } else {
-            parallel_map(self.workers, classes, self.token(), |c| {
-                evidence.quorate[c].then(|| {
-                    engines
-                        .iter()
-                        .map(|&method| {
-                            let analysis = AnalysisConfig {
-                                alpha: config.alpha,
-                                method,
-                            };
-                            leakage_test(&evidence.fixes[c], &evidence.rnd, &analysis)
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-        };
         let mut merged: Vec<(Engine, LeakReport)> = engines
             .iter()
             .map(|&engine| (engine, LeakReport::default()))
             .collect();
-        for (c, slot) in class_reports.into_iter().enumerate() {
-            match slot {
-                Ok(Some(reports)) => {
-                    for ((_, acc), report) in merged.iter_mut().zip(&reports) {
-                        acc.merge(report);
-                    }
-                }
-                Ok(None) => {} // below quorum — already marked lost
-                Err(error) => {
-                    ledger.lost = true;
-                    let context = run_context(DetectPhase::Analysis, Some(c), fix_stream(c), 0);
-                    let counters = &mut ledger.fault_counters.analysis;
-                    settle(lost_item(error), context, counters, &mut ledger.faults);
+        let mut fold = |c: usize, slot: Result<Option<Vec<LeakReport>>, DetectError>| match slot {
+            Ok(Some(reports)) => {
+                for ((_, acc), report) in merged.iter_mut().zip(&reports) {
+                    acc.merge(report);
                 }
             }
+            Ok(None) => {} // below quorum — already marked lost
+            Err(error) => {
+                ledger.lost = true;
+                let context = run_context(DetectPhase::Analysis, Some(c), fix_stream(c), 0);
+                let counters = &mut ledger.fault_counters.analysis;
+                settle(lost_item(error), context, counters, &mut ledger.faults);
+            }
+        };
+        // Cancellation is snapshotted once: either the whole analysis runs
+        // or none of it does, so a deadline racing the fan-out cannot yield
+        // a report built from an unpredictable subset of classes.
+        let cancelled = self.token().is_some_and(CancelToken::is_cancelled);
+        if cancelled {
+            for c in 0..classes {
+                fold(c, Err(DetectError::Cancelled));
+            }
+        } else {
+            parallel_fold(
+                self.workers,
+                classes,
+                self.token(),
+                |c| {
+                    evidence.quorate[c].then(|| {
+                        engines
+                            .iter()
+                            .map(|&method| {
+                                let analysis = AnalysisConfig {
+                                    alpha: config.alpha,
+                                    method,
+                                };
+                                leakage_test(&evidence.fixes[c], &evidence.rnd, &analysis)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                },
+                fold,
+            );
         }
         ledger.stats.test_time = started.elapsed();
         ledger.spans.record("analysis", ledger.stats.test_time);

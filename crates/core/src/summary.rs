@@ -192,7 +192,8 @@ pub struct BudgetUtilization {
     /// The configured per-run allocation budget (`None` = unbounded).
     pub max_allocations: Option<u64>,
     /// The merged random evidence plus the largest merged fixed evidence,
-    /// in bytes (see [`PhaseStats::peak_evidence_bytes`]).
+    /// in bytes: one class's test footprint, not the resident peak (see
+    /// [`PhaseStats::peak_evidence_bytes`]).
     pub peak_evidence_bytes: usize,
     /// The configured evidence-footprint budget (`None` = unbounded).
     pub max_evidence_bytes: Option<usize>,
@@ -225,7 +226,8 @@ pub struct PhaseStatsMs {
     /// Wall time of the distribution tests.
     pub test_ms: f64,
     /// The merged random evidence plus the largest merged fixed evidence,
-    /// in bytes (see [`PhaseStats::peak_evidence_bytes`]).
+    /// in bytes: one class's test footprint, not the resident peak (see
+    /// [`PhaseStats::peak_evidence_bytes`]).
     pub peak_evidence_bytes: usize,
     /// Total wall time of the detection.
     pub total_ms: f64,
