@@ -58,7 +58,8 @@ fn build_graph(warps: u64) -> Adcfg {
     for w in 0..warps {
         for bb in [0u32, 1, 2, 1, 2, 3] {
             b.enter_block(w, bb);
-            b.record_access(w, 0, [(w * 13 + u64::from(bb) * 7) % 256]);
+            b.block_recorder(w)
+                .access(0, [(w * 13 + u64::from(bb) * 7) % 256]);
         }
     }
     b.finish()

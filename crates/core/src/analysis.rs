@@ -311,7 +311,7 @@ mod tests {
         for (i, &bb) in walk.iter().enumerate() {
             b.enter_block(0, bb);
             if i == 0 {
-                b.record_access(0, 0, [addr]);
+                b.block_recorder(0).access(0, [addr]);
             }
         }
         ProgramTrace {
@@ -479,8 +479,9 @@ mod tests {
             // Same walk, but an extra access at instruction 5.
             let mut b = AdcfgBuilder::new();
             b.enter_block(0, 0);
-            b.record_access(0, 0, [0x40]);
-            b.record_access(0, 5, [0x80]);
+            let mut rec = b.block_recorder(0);
+            rec.access(0, [0x40]);
+            rec.access(5, [0x80]);
             ProgramTrace {
                 invocations: vec![KernelInvocation::new(
                     key(1, "k"),

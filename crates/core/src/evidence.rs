@@ -168,17 +168,6 @@ impl Evidence {
         }
         self.invocations = merged;
     }
-
-    /// Per-position presence histogram: how many runs contained this
-    /// aligned invocation (1) versus not (0) — the sample the kernel-leak
-    /// KS test consumes.
-    pub fn presence_histogram(&self, position: usize) -> owl_stats::Histogram {
-        let inv = &self.invocations[position];
-        let mut h = owl_stats::Histogram::new();
-        h.record(1, inv.present_runs);
-        h.record(0, self.runs - inv.present_runs);
-        h
-    }
 }
 
 #[cfg(test)]
@@ -244,9 +233,6 @@ mod tests {
             .position(|i| i.key.kernel == "b")
             .unwrap();
         assert_eq!(ev.invocations[b_pos].present_runs, 2);
-        let h = ev.presence_histogram(b_pos);
-        assert_eq!(h.count(1), 2);
-        assert_eq!(h.count(0), 2);
     }
 
     #[test]

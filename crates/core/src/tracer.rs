@@ -3,12 +3,12 @@
 //! [`OwlTracer`] implements [`KernelHook`] and reconstructs one A-DCFG per
 //! kernel launch, normalising global addresses to `(allocation, offset)`
 //! features on the fly through the launch's [`DeviceMemory`], which the
-//! interpreter passes to every memory callback (the paper converts
+//! interpreter passes with every memory batch (the paper converts
 //! addresses to offsets during tracing to neutralise layout and ASLR
 //! effects, §V-C).
 
 use owl_dcfg::{Adcfg, AdcfgBuilder};
-use owl_gpu::hook::{KernelHook, LaunchInfo, MemAccessEvent, MemEventBatch, WarpRef};
+use owl_gpu::hook::{KernelHook, LaunchInfo, MemEventBatch, WarpRef};
 use owl_gpu::isa::MemSpace;
 use owl_gpu::mem::{AllocId, DeviceMemory};
 use owl_gpu::program::BlockId;
@@ -69,8 +69,8 @@ fn pack_global(addr: u64, resolved: Option<(AllocId, u64)>) -> u64 {
 ///
 /// Attach it to a device (via `Rc<RefCell<…>>`), run the program, then
 /// [`take_graphs`](OwlTracer::take_graphs) to collect the per-launch
-/// graphs in launch order. It holds no view of the device: the memory
-/// callbacks hand it the launch's memory to resolve addresses against.
+/// graphs in launch order. It holds no view of the device: each memory
+/// batch arrives with the launch's memory to resolve addresses against.
 #[derive(Debug, Default)]
 pub struct OwlTracer {
     current: Option<AdcfgBuilder>,
@@ -110,23 +110,11 @@ impl KernelHook for OwlTracer {
             .enter_block(warp_key(warp), bb.0);
     }
 
-    fn mem_access(&mut self, warp: WarpRef, event: &MemAccessEvent, mem: &DeviceMemory) {
-        let features = event
-            .lane_addrs
-            .iter()
-            .map(|&(_, addr)| encode_address(event.space, addr, mem));
-        let builder = self.current.as_mut().expect("mem_access outside a kernel");
-        builder.record_access(warp_key(warp), event.inst_idx, features);
-        // The per-event microarchitectural cost (coalescing / bank
-        // conflicts) — computed from the *raw* addresses, since the
-        // hardware sees the physical layout.
-        builder.record_cost(warp_key(warp), event.inst_idx, event.cost_feature());
-    }
-
     fn mem_batch(&mut self, warp: WarpRef, batch: &MemEventBatch, mem: &DeviceMemory) {
-        // Bulk path: every event in a batch belongs to the same warp and
-        // basic-block visit, so one block-recorder resolution covers the
-        // whole batch; the costs arrive pre-computed in the descriptors.
+        // Every event in a batch belongs to the same warp and basic-block
+        // visit, so one block-recorder resolution covers the whole batch.
+        // The costs arrive pre-computed in the descriptors, from the *raw*
+        // addresses, since the hardware sees the physical layout.
         let builder = self.current.as_mut().expect("mem_batch outside a kernel");
         let mut rec = builder.block_recorder(warp_key(warp));
         for (desc, lanes) in batch.events() {

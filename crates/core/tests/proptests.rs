@@ -30,7 +30,7 @@ fn build_trace(desc: &[(u8, Vec<u8>, u64)]) -> ProgramTrace {
             for (i, &bb) in walk.iter().enumerate() {
                 b.enter_block(0, u32::from(bb));
                 if i == 0 {
-                    b.record_access(0, 0, [*addr]);
+                    b.block_recorder(0).access(0, [*addr]);
                 }
             }
             KernelInvocation::new(

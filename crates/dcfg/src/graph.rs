@@ -213,10 +213,10 @@ impl Adcfg {
 /// let mut b = AdcfgBuilder::new();
 /// // Warp 0 walks bb0 → bb1; warp 1 walks bb0 → bb2.
 /// b.enter_block(0, 0);
-/// b.record_access(0, 0, [0x10]);
+/// b.block_recorder(0).access(0, [0x10]);
 /// b.enter_block(0, 1);
 /// b.enter_block(1, 0);
-/// b.record_access(1, 0, [0x18]);
+/// b.block_recorder(1).access(0, [0x18]);
 /// b.enter_block(1, 2);
 /// let g = b.finish();
 /// assert_eq!(g.node_count(), 3);
@@ -269,39 +269,11 @@ impl AdcfgBuilder {
         *ctx.visit_counts.entry(bb).or_insert(0) += 1;
     }
 
-    /// Records a memory access by `warp` at instruction `inst_idx` of its
-    /// current block; `addr_features` are the per-lane (already normalised)
-    /// address values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the warp has not entered any block yet — the interpreter
-    /// always reports a block entry first.
-    pub fn record_access(
-        &mut self,
-        warp: u64,
-        inst_idx: u32,
-        addr_features: impl IntoIterator<Item = u64>,
-    ) {
-        self.block_recorder(warp).access(inst_idx, addr_features);
-    }
-
-    /// Records the microarchitectural cost (transactions / conflicts) of a
-    /// memory access by `warp` at instruction `inst_idx` of its current
-    /// block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the warp has not entered any block yet.
-    pub fn record_cost(&mut self, warp: u64, inst_idx: u32, cost: u32) {
-        self.block_recorder(warp).cost(inst_idx, cost);
-    }
-
-    /// A handle for recording all memory events of `warp`'s current
-    /// basic-block visit: the warp context, node, and visit ordinal are
-    /// resolved once and reused for every event — the batched tracer emits
-    /// a whole block's events through one handle instead of repeating the
-    /// map lookups per event.
+    /// A handle for recording the memory events of `warp`'s current
+    /// basic-block visit — the builder's only insert path for addresses and
+    /// costs. The warp context, node, and visit ordinal are resolved once
+    /// and reused for every event, so the tracer records a whole batch
+    /// through one handle instead of repeating the map lookups per event.
     ///
     /// # Panics
     ///
@@ -354,9 +326,8 @@ impl AdcfgBuilder {
 }
 
 /// Per-block-visit recording handle returned by
-/// [`AdcfgBuilder::block_recorder`]; `access`/`cost` are the per-event
-/// bodies of [`AdcfgBuilder::record_access`]/[`AdcfgBuilder::record_cost`]
-/// with the block resolution hoisted out.
+/// [`AdcfgBuilder::block_recorder`]: it files every access and cost under
+/// the visit's ordinal in the block's node.
 #[derive(Debug)]
 pub struct BlockRecorder<'a> {
     node: &'a mut Node,
@@ -472,10 +443,10 @@ mod tests {
     fn per_visit_memory_records_are_separated() {
         let mut b = AdcfgBuilder::new();
         b.enter_block(0, 7);
-        b.record_access(0, 0, [0x100]);
+        b.block_recorder(0).access(0, [0x100]);
         b.enter_block(0, 8);
         b.enter_block(0, 7); // second visit of bb7
-        b.record_access(0, 0, [0x200]);
+        b.block_recorder(0).access(0, [0x200]);
         let g = b.finish();
         let mem = &g.node(7).unwrap().mem[&0];
         assert_eq!(mem.len(), 2, "two visit ordinals");
@@ -489,7 +460,7 @@ mod tests {
         let mut b = AdcfgBuilder::new();
         for w in 0..4 {
             b.enter_block(w, 3);
-            b.record_access(w, 1, [0x40 + w * 8]);
+            b.block_recorder(w).access(1, [0x40 + w * 8]);
         }
         let g = b.finish();
         let m0 = &g.node(3).unwrap().mem[&1][0];
@@ -502,7 +473,7 @@ mod tests {
         let build = || {
             let mut b = AdcfgBuilder::new();
             b.enter_block(0, 0);
-            b.record_access(0, 0, [1, 2]);
+            b.block_recorder(0).access(0, [1, 2]);
             b.enter_block(0, 1);
             b.finish()
         };
@@ -516,7 +487,7 @@ mod tests {
         let mut doubled = AdcfgBuilder::new();
         for w in 0..2 {
             doubled.enter_block(w, 0);
-            doubled.record_access(w, 0, [1, 2]);
+            doubled.block_recorder(w).access(0, [1, 2]);
             doubled.enter_block(w, 1);
         }
         assert_eq!(m, doubled.finish());
@@ -536,7 +507,7 @@ mod tests {
     #[should_panic(expected = "before any block entry")]
     fn access_before_entry_panics() {
         let mut b = AdcfgBuilder::new();
-        b.record_access(0, 0, [1]);
+        b.block_recorder(0).access(0, [1]);
     }
 
     #[test]
@@ -545,7 +516,7 @@ mod tests {
             let mut b = AdcfgBuilder::new();
             for w in 0..8 {
                 b.enter_block(w, 0);
-                b.record_access(w, 0, [0x40]); // all warps hit one address
+                b.block_recorder(w).access(0, [0x40]); // all warps hit one address
             }
             b.finish()
         };
@@ -553,7 +524,7 @@ mod tests {
             let mut b = AdcfgBuilder::new();
             for w in 0..8 {
                 b.enter_block(w, 0);
-                b.record_access(w, 0, [w * 64]); // distinct addresses
+                b.block_recorder(w).access(0, [w * 64]); // distinct addresses
             }
             b.finish()
         };

@@ -26,7 +26,8 @@ fn build_graph(walks: &[Vec<u8>]) -> Adcfg {
         for (step, &bb) in walk.iter().enumerate() {
             b.enter_block(w as u64, u32::from(bb));
             // Give every visit a deterministic access pattern.
-            b.record_access(w as u64, 0, [u64::from(bb) * 8 + step as u64 % 2]);
+            b.block_recorder(w as u64)
+                .access(0, [u64::from(bb) * 8 + step as u64 % 2]);
         }
     }
     b.finish()

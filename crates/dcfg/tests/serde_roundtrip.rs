@@ -8,8 +8,9 @@ fn sample_graph() -> Adcfg {
     for w in 0..3u64 {
         for (i, bb) in [0u32, 1, 2, 1, 3].into_iter().enumerate() {
             b.enter_block(w, bb);
-            b.record_access(w, 0, [w * 64 + i as u64 * 8]);
-            b.record_cost(w, 0, 1 + (i as u32 % 3));
+            let mut rec = b.block_recorder(w);
+            rec.access(0, [w * 64 + i as u64 * 8]);
+            rec.cost(0, 1 + (i as u32 % 3));
         }
     }
     b.finish()

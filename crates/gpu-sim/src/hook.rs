@@ -4,8 +4,8 @@
 //! user instrumentation at instrumented points. The simulator produces the
 //! same observable stream through the [`KernelHook`] trait: one callback at
 //! each basic-block entry (per warp — matching Owl's warp-level tracing,
-//! §V-A) and one at each memory-access instruction with the per-lane
-//! addresses.
+//! §V-A) and one per batch of memory-access instructions, each with its
+//! per-lane addresses.
 
 use crate::grid::LaunchConfig;
 use crate::isa::MemSpace;
@@ -35,8 +35,9 @@ pub enum AccessKind {
     Atomic,
 }
 
-/// One dynamic memory-access event: a single `Ld`/`St` instruction executed
-/// by a warp, with the byte address touched by every participating lane.
+/// One dynamic memory-access event as [`RecordingHook`] stores it: a single
+/// `Ld`/`St` instruction executed by a warp, with the byte address touched
+/// by every participating lane.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemAccessEvent {
     /// Basic block containing the instruction.
@@ -65,7 +66,7 @@ pub const SHARED_BANKS: u64 = 32;
 /// coalescing side channel (Jiang et al., HPCA'16) observes exactly this
 /// quantity through timing. `scratch` is reused across calls to keep the
 /// hot path allocation-free.
-pub fn coalesced_transactions(lane_addrs: &[(u8, u64)], scratch: &mut Vec<u64>) -> u32 {
+fn coalesced_transactions(lane_addrs: &[(u8, u64)], scratch: &mut Vec<u64>) -> u32 {
     // Lane addresses usually ascend: count segment changes in one pass,
     // and sort only when some lane steps back.
     let mut segments = lane_addrs.iter().map(|&(_, a)| a / COALESCE_SEGMENT);
@@ -102,7 +103,7 @@ fn sorted_distinct<'s>(
 /// access serialises into this many cycles on real hardware — another
 /// timing observable (Jiang et al., TACO'19). `scratch` is reused across
 /// calls.
-pub fn bank_conflict_degree(lane_addrs: &[(u8, u64)], scratch: &mut Vec<u64>) -> u32 {
+fn bank_conflict_degree(lane_addrs: &[(u8, u64)], scratch: &mut Vec<u64>) -> u32 {
     let mut counts = [0u32; SHARED_BANKS as usize];
     // Broadcasts (all lanes on one word) are conflict-free; count
     // distinct words per bank.
@@ -115,7 +116,7 @@ pub fn bank_conflict_degree(lane_addrs: &[(u8, u64)], scratch: &mut Vec<u64>) ->
 /// The microarchitectural cost feature of one warp access: transactions
 /// for global memory, bank-conflict degree for shared memory, and 1 for
 /// the uniform-latency spaces.
-pub fn cost_feature(space: MemSpace, lane_addrs: &[(u8, u64)], scratch: &mut Vec<u64>) -> u32 {
+fn cost_feature(space: MemSpace, lane_addrs: &[(u8, u64)], scratch: &mut Vec<u64>) -> u32 {
     match space {
         MemSpace::Global => coalesced_transactions(lane_addrs, scratch),
         MemSpace::Shared => bank_conflict_degree(lane_addrs, scratch),
@@ -128,7 +129,7 @@ pub fn cost_feature(space: MemSpace, lane_addrs: &[(u8, u64)], scratch: &mut Vec
 /// global accesses add their transaction count and are classified as
 /// coalesced (one transaction) or serialized; shared accesses add their
 /// *excess* bank cycles (degree − 1).
-pub fn apply_event_counters(space: MemSpace, cost: u32, c: &mut owl_metrics::SimCounters) {
+fn apply_event_counters(space: MemSpace, cost: u32, c: &mut owl_metrics::SimCounters) {
     c.mem_accesses += 1;
     match space {
         MemSpace::Global => {
@@ -147,38 +148,16 @@ pub fn apply_event_counters(space: MemSpace, cost: u32, c: &mut owl_metrics::Sim
     }
 }
 
-impl MemAccessEvent {
-    /// [`coalesced_transactions`] over this event's lanes.
-    pub fn coalesced_transactions(&self) -> u32 {
-        coalesced_transactions(&self.lane_addrs, &mut Vec::new())
-    }
-
-    /// [`bank_conflict_degree`] over this event's lanes.
-    pub fn bank_conflict_degree(&self) -> u32 {
-        bank_conflict_degree(&self.lane_addrs, &mut Vec::new())
-    }
-
-    /// [`cost_feature`] over this event's lanes.
-    pub fn cost_feature(&self) -> u32 {
-        cost_feature(self.space, &self.lane_addrs, &mut Vec::new())
-    }
-
-    /// [`apply_event_counters`] with this event's space and cost.
-    pub fn apply_counters(&self, c: &mut owl_metrics::SimCounters) {
-        apply_event_counters(self.space, self.cost_feature(), c);
-    }
-}
-
-/// A flat batch of memory-access events accumulated by one warp over one
-/// basic block, flushed to the hook in a single [`KernelHook::mem_batch`]
-/// call.
+/// A flat batch of memory-access events accumulated by one warp within one
+/// basic-block visit, delivered to the hook in one [`KernelHook::mem_batch`]
+/// call — the only form in which memory events reach a hook.
 ///
 /// Structure-of-arrays layout: fixed-size descriptors in [`Self::events`]
 /// order plus one shared `(lane, address)` pool, so the interpreter's
-/// inner loop appends to two flat vectors instead of allocating a
-/// [`MemAccessEvent`] and crossing a virtual call per instruction. Costs
-/// and execution counters are computed once, monomorphically, in
-/// [`MemEventBatch::finish_event`] — consumers read
+/// inner loop appends to two flat vectors instead of allocating an event
+/// and crossing a virtual call per instruction. The cost model lives
+/// behind [`MemEventBatch::finish_event`]: it computes each event's cost
+/// and folds it into the execution counters once, and consumers read
 /// [`MemEventDesc::cost`] instead of re-deriving it from the addresses.
 #[derive(Debug, Default)]
 pub struct MemEventBatch {
@@ -198,8 +177,8 @@ pub struct MemEventDesc {
     pub space: MemSpace,
     /// Read or write.
     pub kind: AccessKind,
-    /// The access's [`cost_feature`], computed at
-    /// [`MemEventBatch::finish_event`] time.
+    /// The access's microarchitectural cost (transactions, bank-conflict
+    /// degree, or 1), computed by [`MemEventBatch::finish_event`].
     pub cost: u32,
     addr_start: u32,
     addr_len: u32,
@@ -245,9 +224,8 @@ impl MemEventBatch {
 
     /// Discards the open event and any addresses pushed for it. Used on
     /// mid-instruction error paths (e.g. an out-of-bounds lane) so the
-    /// batch never flushes a half-recorded event — matching the legacy
-    /// per-event path, which built the event only after all lanes
-    /// succeeded.
+    /// batch never flushes a half-recorded event — matching the reference
+    /// oracle, which emits an event only after all its lanes succeeded.
     #[inline]
     pub fn abort_event(&mut self) {
         let desc = self.descs.pop().expect("abort_event without begin_event");
@@ -296,7 +274,7 @@ pub struct LaunchInfo {
 /// to an uninstrumented one — dynamic binary instrumentation must not
 /// perturb program semantics.
 ///
-/// The memory callbacks receive the launch's [`DeviceMemory`], read-only,
+/// [`Self::mem_batch`] receives the launch's [`DeviceMemory`], read-only,
 /// so a hook can resolve raw global addresses with
 /// [`DeviceMemory::resolve`]. Kernels cannot allocate or free, so the
 /// allocation map is fixed for the duration of a launch: resolving when a
@@ -317,28 +295,12 @@ pub trait KernelHook {
         let _ = (warp, bb);
     }
 
-    /// A warp executed a memory access instruction.
-    fn mem_access(&mut self, warp: WarpRef, event: &MemAccessEvent, mem: &DeviceMemory) {
-        let _ = (warp, event, mem);
-    }
-
-    /// A warp finished a basic block that executed memory accesses; the
-    /// batch holds them in execution order. The default materialises each
-    /// event and forwards it to [`Self::mem_access`], so hooks written
-    /// against the per-event callback observe an identical stream.
-    /// Bulk consumers (the Owl tracer) override this to read the flat
-    /// layout directly.
+    /// A warp executed memory-access instructions within its current
+    /// basic-block visit; the batch holds them in execution order. The
+    /// lowered interpreter flushes one batch per block, the reference
+    /// oracle one batch per event.
     fn mem_batch(&mut self, warp: WarpRef, batch: &MemEventBatch, mem: &DeviceMemory) {
-        for (desc, lanes) in batch.events() {
-            let event = MemAccessEvent {
-                bb: desc.bb,
-                inst_idx: desc.inst_idx,
-                space: desc.space,
-                kind: desc.kind,
-                lane_addrs: lanes.to_vec(),
-            };
-            self.mem_access(warp, &event, mem);
-        }
+        let _ = (warp, batch, mem);
     }
 }
 
@@ -346,9 +308,7 @@ pub trait KernelHook {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullHook;
 
-impl KernelHook for NullHook {
-    fn mem_batch(&mut self, _warp: WarpRef, _batch: &MemEventBatch, _mem: &DeviceMemory) {}
-}
+impl KernelHook for NullHook {}
 
 /// A hook that buffers every event, useful in tests and as a building block
 /// for tracers.
@@ -371,14 +331,32 @@ impl KernelHook for RecordingHook {
         self.bb_entries.push((warp, bb));
     }
 
-    fn mem_access(&mut self, warp: WarpRef, event: &MemAccessEvent, _mem: &DeviceMemory) {
-        self.accesses.push((warp, event.clone()));
+    fn mem_batch(&mut self, warp: WarpRef, batch: &MemEventBatch, _mem: &DeviceMemory) {
+        self.accesses.extend(batch.events().map(|(desc, lanes)| {
+            let event = MemAccessEvent {
+                bb: desc.bb,
+                inst_idx: desc.inst_idx,
+                space: desc.space,
+                kind: desc.kind,
+                lane_addrs: lanes.to_vec(),
+            };
+            (warp, event)
+        }));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `(lane, address)` pairs for consecutive lanes from 0.
+    fn lanes(addrs: impl IntoIterator<Item = u64>) -> Vec<(u8, u64)> {
+        addrs
+            .into_iter()
+            .enumerate()
+            .map(|(l, a)| (l as u8, a))
+            .collect()
+    }
 
     #[test]
     fn null_hook_is_callable() {
@@ -395,114 +373,66 @@ mod tests {
 
     #[test]
     fn coalescing_counts_distinct_segments() {
-        let mk = |addrs: Vec<u64>| MemAccessEvent {
-            bb: BlockId(0),
-            inst_idx: 0,
-            space: MemSpace::Global,
-            kind: AccessKind::Read,
-            lane_addrs: addrs
-                .into_iter()
-                .enumerate()
-                .map(|(l, a)| (l as u8, a))
-                .collect(),
-        };
+        let mk = |addrs: Vec<u64>| coalesced_transactions(&lanes(addrs), &mut Vec::new());
         // All 32 lanes in one 32-byte segment: 1 transaction.
-        assert_eq!(
-            mk((0..32).map(|i| i % 32).collect()).coalesced_transactions(),
-            1
-        );
+        assert_eq!(mk((0..32).map(|i| i % 32).collect()), 1);
         // Consecutive 4-byte words: 32 lanes over 128 bytes = 4 segments.
-        assert_eq!(
-            mk((0..32).map(|i| i * 4).collect()).coalesced_transactions(),
-            4
-        );
+        assert_eq!(mk((0..32).map(|i| i * 4).collect()), 4);
         // Fully scattered: one segment per lane.
-        assert_eq!(
-            mk((0..32).map(|i| i * 64).collect()).coalesced_transactions(),
-            32
-        );
+        assert_eq!(mk((0..32).map(|i| i * 64).collect()), 32);
         // Descending and interleaved lanes count each segment once too.
-        assert_eq!(
-            mk((0..32).rev().map(|i| i * 4).collect()).coalesced_transactions(),
-            4
-        );
-        assert_eq!(mk(vec![0, 64, 4, 68, 8]).coalesced_transactions(), 2);
-        assert_eq!(mk(vec![]).coalesced_transactions(), 0);
+        assert_eq!(mk((0..32).rev().map(|i| i * 4).collect()), 4);
+        assert_eq!(mk(vec![0, 64, 4, 68, 8]), 2);
+        assert_eq!(mk(vec![]), 0);
     }
 
     #[test]
     fn bank_conflicts_count_worst_bank() {
-        let mk = |addrs: Vec<u64>| MemAccessEvent {
-            bb: BlockId(0),
-            inst_idx: 0,
-            space: MemSpace::Shared,
-            kind: AccessKind::Read,
-            lane_addrs: addrs
-                .into_iter()
-                .enumerate()
-                .map(|(l, a)| (l as u8, a))
-                .collect(),
-        };
+        let mk = |addrs: Vec<u64>| bank_conflict_degree(&lanes(addrs), &mut Vec::new());
         // Stride-1 words: conflict-free.
-        assert_eq!(
-            mk((0..32).map(|i| i * 4).collect()).bank_conflict_degree(),
-            1
-        );
+        assert_eq!(mk((0..32).map(|i| i * 4).collect()), 1);
         // Stride-32 words: all lanes on bank 0 → 32-way conflict.
-        assert_eq!(
-            mk((0..32).map(|i| i * 4 * 32).collect()).bank_conflict_degree(),
-            32
-        );
+        assert_eq!(mk((0..32).map(|i| i * 4 * 32).collect()), 32);
         // Stride-2 words: 2-way conflicts.
-        assert_eq!(
-            mk((0..32).map(|i| i * 8).collect()).bank_conflict_degree(),
-            2
-        );
+        assert_eq!(mk((0..32).map(|i| i * 8).collect()), 2);
         // Broadcast (all lanes one word): conflict-free.
-        assert_eq!(mk(vec![40; 32]).bank_conflict_degree(), 1);
+        assert_eq!(mk(vec![40; 32]), 1);
     }
 
     #[test]
     fn cost_feature_dispatches_by_space() {
-        let mut e = MemAccessEvent {
-            bb: BlockId(0),
-            inst_idx: 0,
-            space: MemSpace::Constant,
-            kind: AccessKind::Read,
-            lane_addrs: (0..32u64).map(|l| (l as u8, l * 64)).collect(),
-        };
-        assert_eq!(e.cost_feature(), 1);
-        e.space = MemSpace::Global;
-        assert_eq!(e.cost_feature(), 32);
-        e.space = MemSpace::Shared;
-        assert_eq!(e.cost_feature(), 16, "stride-64B over 32 banks of 4B words");
+        let addrs = lanes((0..32u64).map(|l| l * 64));
+        let cost = |space| cost_feature(space, &addrs, &mut Vec::new());
+        assert_eq!(cost(MemSpace::Constant), 1);
+        assert_eq!(cost(MemSpace::Global), 32);
+        assert_eq!(
+            cost(MemSpace::Shared),
+            16,
+            "stride-64B over 32 banks of 4B words"
+        );
     }
 
     #[test]
     fn apply_counters_classifies_by_space() {
-        let mk = |space, addrs: Vec<u64>| MemAccessEvent {
-            bb: BlockId(0),
-            inst_idx: 0,
-            space,
-            kind: AccessKind::Read,
-            lane_addrs: addrs
-                .into_iter()
-                .enumerate()
-                .map(|(l, a)| (l as u8, a))
-                .collect(),
+        let apply = |space, addrs: Vec<u64>, c: &mut owl_metrics::SimCounters| {
+            apply_event_counters(
+                space,
+                cost_feature(space, &lanes(addrs), &mut Vec::new()),
+                c,
+            );
         };
         let mut c = owl_metrics::SimCounters::default();
         // Coalesced global: one segment.
-        mk(MemSpace::Global, (0..32).collect()).apply_counters(&mut c);
+        apply(MemSpace::Global, (0..32).collect(), &mut c);
         assert_eq!((c.mem_transactions, c.coalesced_accesses), (1, 1));
         // Scattered global: 32 segments.
-        mk(MemSpace::Global, (0..32).map(|i| i * 64).collect()).apply_counters(&mut c);
+        apply(MemSpace::Global, (0..32).map(|i| i * 64).collect(), &mut c);
         assert_eq!((c.mem_transactions, c.serialized_accesses), (33, 1));
         // Stride-2 shared words: 2-way conflicts → 1 excess cycle.
-        mk(MemSpace::Shared, (0..32).map(|i| i * 8).collect()).apply_counters(&mut c);
+        apply(MemSpace::Shared, (0..32).map(|i| i * 8).collect(), &mut c);
         assert_eq!(c.bank_conflicts, 1);
         // Constant space only bumps the access count.
-        mk(MemSpace::Constant, vec![0]).apply_counters(&mut c);
+        apply(MemSpace::Constant, vec![0], &mut c);
         assert_eq!(c.mem_accesses, 4);
         assert_eq!(c.mem_transactions, 33);
     }
@@ -523,7 +453,7 @@ mod tests {
         }
         batch.finish_event(&mut c);
 
-        // The default trait impl materialises the same per-event stream.
+        // The recording hook flattens the batch into the per-event stream.
         let mut h = RecordingHook::default();
         h.mem_batch(w, &batch, &DeviceMemory::new());
         assert_eq!(h.accesses.len(), 2);
@@ -531,18 +461,16 @@ mod tests {
         assert_eq!(first.lane_addrs, vec![(0, 0), (1, 64), (2, 128), (3, 192)]);
         assert_eq!(first.space, MemSpace::Global);
 
-        // finish_event applied the same counters apply_counters would.
+        // finish_event applied the same counters each event implies ...
+        let event_cost = |e: &MemAccessEvent| cost_feature(e.space, &e.lane_addrs, &mut Vec::new());
         let mut expect = owl_metrics::SimCounters::default();
         for (_, e) in &h.accesses {
-            e.apply_counters(&mut expect);
+            apply_event_counters(e.space, event_cost(e), &mut expect);
         }
         assert_eq!(c, expect);
-        // ... and stamped the same cost the event computes for itself.
+        // ... and stamped the same cost the event's lanes give.
         let costs: Vec<u32> = batch.events().map(|(d, _)| d.cost).collect();
-        assert_eq!(
-            costs,
-            vec![first.cost_feature(), h.accesses[1].1.cost_feature()]
-        );
+        assert_eq!(costs, vec![event_cost(first), event_cost(&h.accesses[1].1)]);
     }
 
     #[test]

@@ -508,15 +508,6 @@ impl Inst {
             guard: Some(Guard { pred, expected }),
         }
     }
-
-    /// `true` when the instruction reads or writes memory (and therefore
-    /// triggers the memory-access instrumentation hook).
-    pub fn is_mem_access(&self) -> bool {
-        matches!(
-            self.op,
-            InstOp::Ld { .. } | InstOp::St { .. } | InstOp::Atomic { .. } | InstOp::Tex { .. }
-        )
-    }
 }
 
 #[cfg(test)]
@@ -540,22 +531,6 @@ mod tests {
         assert_eq!(MemWidth::B2.bytes(), 2);
         assert_eq!(MemWidth::B4.bytes(), 4);
         assert_eq!(MemWidth::B8.bytes(), 8);
-    }
-
-    #[test]
-    fn is_mem_access_classification() {
-        let ld = Inst::new(InstOp::Ld {
-            dst: Reg(0),
-            space: MemSpace::Global,
-            addr: Operand::Imm(0),
-            width: MemWidth::B4,
-        });
-        let mov = Inst::new(InstOp::Mov {
-            dst: Reg(0),
-            src: Operand::Imm(1),
-        });
-        assert!(ld.is_mem_access());
-        assert!(!mov.is_mem_access());
     }
 
     #[test]

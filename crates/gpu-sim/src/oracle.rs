@@ -9,14 +9,16 @@
 //!   explicit frame stack;
 //! * one `match` per [`InstOp`] — no pre-resolved
 //!   operand tables;
-//! * one [`KernelHook::mem_access`] call per memory instruction — no event
-//!   batching;
+//! * one single-event [`KernelHook::mem_batch`] call per memory
+//!   instruction, emitted once every lane has succeeded — no per-block
+//!   batching, no mid-instruction abort, no block-exit flush;
 //! * per-lane `Vec<Vec<u64>>` register files — no flat indexing tricks;
 //! * per-instruction fuel accounting — no block-level budget charging.
 //!
 //! The only things it shares with the fast path are the *contract
 //! definitions*: the ISA types, the memory model ([`crate::mem`]), the hook
-//! interface and its cost functions ([`crate::hook`]), and the error type.
+//! interface with its event container and cost model ([`crate::hook`]), and
+//! the error type.
 //! It must never depend on `crate::lowered` — if the two interpreters
 //! shared interpretation logic, a bug there would be invisible to the
 //! differential suite.
@@ -26,14 +28,15 @@
 //! * identical device memory after the launch (and identical partial
 //!   effects when the launch errors),
 //! * identical hook event sequences (`kernel_begin`, `bb_entry`,
-//!   per-instruction memory events in execution order, `kernel_end`),
+//!   per-instruction memory events in execution order, `kernel_end`) once
+//!   each memory batch is flattened into its events,
 //! * identical [`LaunchStats`] including every [`SimCounters`] field,
 //! * identical `Result`, including the exact [`ExecError`] variant and
 //!   fields on failure.
 
 use crate::error::ExecError;
 use crate::grid::{Dim3, LaunchConfig};
-use crate::hook::{AccessKind, KernelHook, LaunchInfo, MemAccessEvent, WarpRef};
+use crate::hook::{AccessKind, KernelHook, LaunchInfo, MemEventBatch, WarpRef};
 use crate::isa::{
     AtomicOp, BinOp, CmpOp, Guard, Inst, InstOp, MemSpace, Operand, ShflMode, SpecialReg, UnOp,
     CANONICAL_NAN,
@@ -45,7 +48,8 @@ use owl_metrics::SimCounters;
 use crate::exec::{LaunchOptions, LaunchStats};
 
 /// Execution resources threaded through the oracle, mirroring the engine's
-/// environment but without the event batch (the oracle emits per-event).
+/// environment but without the shared event batch (the oracle builds one
+/// batch per event).
 struct OracleEnv<'a> {
     mem: &'a mut DeviceMemory,
     shared: &'a mut LinearMemory,
@@ -333,10 +337,11 @@ impl<'p> OracleWarp<'p> {
         }
     }
 
-    /// Emits one memory event: counters first (the engine folds them in at
-    /// event close), then the per-event hook callback. Events are emitted
-    /// only after every lane succeeded — a faulting lane discards the event
-    /// while keeping the memory effects of the lanes before it.
+    /// Emits one memory event as a single-event batch: counters first
+    /// (through [`MemEventBatch::finish_event`]), then the hook callback.
+    /// Events are emitted only after every lane succeeded — a faulting
+    /// lane discards the event while keeping the memory effects of the
+    /// lanes before it.
     fn emit_event(
         &self,
         bb: BlockId,
@@ -346,15 +351,13 @@ impl<'p> OracleWarp<'p> {
         lane_addrs: Vec<(u8, u64)>,
         env: &mut OracleEnv<'_>,
     ) {
-        let event = MemAccessEvent {
-            bb,
-            inst_idx,
-            space,
-            kind,
-            lane_addrs,
-        };
-        event.apply_counters(env.counters);
-        env.hook.mem_access(self.warp_ref, &event, env.mem);
+        let mut batch = MemEventBatch::new();
+        batch.begin_event(bb, inst_idx, space, kind);
+        for (lane, addr) in lane_addrs {
+            batch.push_addr(lane, addr);
+        }
+        batch.finish_event(env.counters);
+        env.hook.mem_batch(self.warp_ref, &batch, env.mem);
     }
 
     #[allow(clippy::too_many_lines)]

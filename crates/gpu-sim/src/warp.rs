@@ -485,7 +485,7 @@ impl<'p> WarpExec<'p> {
     /// Delivers the block's buffered memory events, with the launch's
     /// memory, to the hook in one virtual call. Must run before control
     /// leaves the block — on success *and* on error — so hooks observe the
-    /// same event stream the per-instruction callbacks produced.
+    /// same event stream as the oracle's one-event batches.
     fn flush_batch(&self, env: &mut ExecEnv<'_>) {
         if !env.batch.is_empty() {
             env.hook.mem_batch(self.warp_ref, env.batch, env.mem);
@@ -515,43 +515,27 @@ impl<'p> WarpExec<'p> {
         env.hook.bb_entry(self.warp_ref, id);
         let block = &self.lowered.blocks[id.0 as usize];
         let n = block.insts.len() as u64;
-        let result = if *env.fuel >= n {
-            // Fast path: charge fuel and the instruction counter for the
-            // whole block up front, keeping the per-instruction loop free
-            // of budget branches. A mid-block execution error refunds the
-            // instructions that never ran, so totals match per-step
-            // accounting exactly.
-            *env.fuel -= n;
-            env.counters.instructions += n;
-            let mut result = Ok(());
-            for (inst_idx, inst) in block.insts.iter().enumerate() {
-                if let Err(e) = self.exec_inst(id, inst_idx as u32, inst, mask, env) {
-                    let unexecuted = n - (inst_idx as u64 + 1);
-                    *env.fuel += unexecuted;
-                    env.counters.instructions -= unexecuted;
-                    result = Err(e);
-                    break;
-                }
+        // Charge fuel and the instruction counter for every instruction
+        // the budget covers up front, keeping the per-instruction loop free
+        // of budget branches. An execution error refunds the instructions
+        // that never ran, and a budget shorter than the block stops where
+        // it runs out, so totals match per-instruction accounting exactly.
+        let runnable = n.min(*env.fuel);
+        *env.fuel -= runnable;
+        env.counters.instructions += runnable;
+        let mut result = Ok(());
+        for (inst_idx, inst) in block.insts[..runnable as usize].iter().enumerate() {
+            if let Err(e) = self.exec_inst(id, inst_idx as u32, inst, mask, env) {
+                let unexecuted = runnable - (inst_idx as u64 + 1);
+                *env.fuel += unexecuted;
+                env.counters.instructions -= unexecuted;
+                result = Err(e);
+                break;
             }
-            result
-        } else {
-            // Slow path (budget nearly exhausted): per-instruction fuel
-            // accounting preserves the exact legacy exhaustion point.
-            let mut result = Ok(());
-            for (inst_idx, inst) in block.insts.iter().enumerate() {
-                if *env.fuel == 0 {
-                    result = Err(ExecError::FuelExhausted);
-                    break;
-                }
-                *env.fuel -= 1;
-                env.counters.instructions += 1;
-                if let Err(e) = self.exec_inst(id, inst_idx as u32, inst, mask, env) {
-                    result = Err(e);
-                    break;
-                }
-            }
-            result
-        };
+        }
+        if result.is_ok() && runnable < n {
+            result = Err(ExecError::FuelExhausted);
+        }
         self.flush_batch(env);
         result
     }

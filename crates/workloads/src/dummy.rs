@@ -7,7 +7,9 @@
 //!
 //! [`NoiseDummy`] is a program whose accesses vary run-to-run independently
 //! of the input (a randomised defence, the paper's "non-deterministic
-//! factors"): Owl must *not* flag it.
+//! factors"): Owl must *not* flag it. Its per-run nonce is a pure function
+//! of the run's identity, so a detection on it is reproducible at any
+//! parallelism.
 //!
 //! [`RunawaySpin`] is the resource-governance demo: every run spins an
 //! unbounded device loop, so each launch burns the full instruction budget
@@ -16,15 +18,13 @@
 //! `Verdict::Inconclusive`; under the default multi-billion fuel it is
 //! effectively a hang reproducer.
 
-use crate::util::{rng, seeded_bytes};
-use owl_core::TracedProgram;
+use crate::util::seeded_bytes;
+use owl_core::{DetectError, RunSpec, TracedProgram};
 use owl_gpu::build::KernelBuilder;
 use owl_gpu::grid::LaunchConfig;
 use owl_gpu::isa::{CmpOp, MemWidth, SpecialReg};
 use owl_gpu::KernelProgram;
 use owl_host::{Device, HostError};
-use rand::Rng;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Entries in the S-box-like table.
 pub const TABLE_ENTRIES: usize = 256;
@@ -127,16 +127,13 @@ impl TracedProgram for DummySbox {
 }
 
 /// A program whose memory behaviour is random per *run*, not per input:
-/// the host draws a fresh nonce each execution and indexes the table with
-/// it. The fixed-input and random-input distributions coincide, so Owl's
-/// distribution test must attribute the differences to noise.
+/// the host derives a nonce from the run's identity (its [`RunSpec`]) and
+/// indexes the table with it. The fixed-input and random-input
+/// distributions coincide, so Owl's distribution test must attribute the
+/// differences to noise.
 #[derive(Debug)]
 pub struct NoiseDummy {
     kernel: KernelProgram,
-    // Atomic (not `Cell`) so the workload is `Sync`: the parallel detector
-    // records runs from several threads, and the nonce must keep advancing
-    // per run regardless of which thread executes it.
-    nonce: AtomicU64,
 }
 
 impl NoiseDummy {
@@ -144,8 +141,29 @@ impl NoiseDummy {
     pub fn new() -> Self {
         NoiseDummy {
             kernel: build_sbox_kernel(),
-            nonce: AtomicU64::new(0x009a_3c01),
         }
+    }
+
+    /// One run with fresh randomness regardless of the input (e.g. a
+    /// randomised masking defence). The nonce is a pure function of
+    /// `(stream, run_index, attempt)`, so whichever worker records a run
+    /// sees the same noise.
+    fn run_spec(&self, device: &mut Device, spec: &RunSpec) -> Result<(), HostError> {
+        let nonce = 0x009a_3c01
+            ^ spec.stream.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            ^ spec.run_index.wrapping_mul(0xbf58_476d_1ce4_e5b9)
+            ^ u64::from(spec.attempt).wrapping_mul(0x94d0_49bb_1331_11eb);
+        let draw = seeded_bytes(nonce, 32);
+        let data = device.malloc(32);
+        device.memcpy_h2d(data, &draw)?;
+        let table = device.malloc(TABLE_ENTRIES * 4);
+        let out = device.malloc(32 * 4);
+        device.launch(
+            &self.kernel,
+            LaunchConfig::new(1u32, 32u32),
+            &[data.addr(), table.addr(), out.addr(), 32],
+        )?;
+        Ok(())
     }
 }
 
@@ -163,31 +181,25 @@ impl TracedProgram for NoiseDummy {
     }
 
     fn run(&self, device: &mut Device, _input: &u64) -> Result<(), HostError> {
-        // Fresh per-run randomness regardless of the input (e.g. a
-        // randomised masking defence).
-        let n = self.nonce.fetch_add(1, Ordering::Relaxed);
-        let mut r = rng(n);
-        let draw: Vec<u8> = (0..32).map(|_| r.gen()).collect();
+        self.run_spec(device, &RunSpec::default())
+    }
 
-        let data = device.malloc(32);
-        device.memcpy_h2d(data, &draw)?;
-        let table = device.malloc(TABLE_ENTRIES * 4);
-        let out = device.malloc(32 * 4);
-        device.launch(
-            &self.kernel,
-            LaunchConfig::new(1u32, 32u32),
-            &[data.addr(), table.addr(), out.addr(), 32],
-        )?;
-        Ok(())
+    fn run_with_spec(
+        &self,
+        device: &mut Device,
+        _input: &u64,
+        spec: &RunSpec,
+    ) -> Result<(), DetectError> {
+        Ok(self.run_spec(device, spec)?)
     }
 
     fn random_input(&self, seed: u64) -> u64 {
         seed
     }
 
-    /// The per-run nonce makes `run` impure: fixed-input runs differ, and
-    /// the detector must re-record each one so the noise reaches both
-    /// evidence sets and is dismissed as input-independent.
+    /// The per-run nonce makes fixed-input runs differ, so the detector
+    /// must re-record each one: the noise then reaches both evidence sets
+    /// and is dismissed as input-independent.
     fn deterministic_host(&self) -> bool {
         false
     }
@@ -297,8 +309,14 @@ mod tests {
     #[test]
     fn noise_dummy_traces_differ_across_runs_with_same_input() {
         let d = NoiseDummy::new();
-        let a = trace_of(&d, &0);
-        let b = trace_of(&d, &0);
-        assert_ne!(a, b, "per-run nonce must vary the trace");
+        let at = |run_index| {
+            let spec = RunSpec {
+                run_index,
+                ..RunSpec::default()
+            };
+            Recorder::default().record(&d, &0, &spec).result.unwrap().0
+        };
+        assert_ne!(at(0), at(1), "per-run nonce must vary the trace");
+        assert_eq!(at(1), at(1), "one run identity, one nonce");
     }
 }

@@ -16,7 +16,7 @@ use owl::workloads::dummy::DummySbox;
 fn trace_with_addr(addr: u64) -> ProgramTrace {
     let mut b = AdcfgBuilder::new();
     b.enter_block(0, 0);
-    b.record_access(0, 0, [addr]);
+    b.block_recorder(0).access(0, [addr]);
     ProgramTrace {
         invocations: vec![KernelInvocation::new(
             InvocationKey {

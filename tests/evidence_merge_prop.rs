@@ -28,7 +28,7 @@ fn key(line: u32, kernel: &str) -> InvocationKey {
 fn invocation(line: u32, kernel: &str, addr: u64) -> KernelInvocation {
     let mut b = AdcfgBuilder::new();
     b.enter_block(0, 0);
-    b.record_access(0, 0, [addr]);
+    b.block_recorder(0).access(0, [addr]);
     b.enter_block(0, 1 + (addr % 3) as u32);
     KernelInvocation::new(key(line, kernel), ((1, 1, 1), (32, 1, 1)), b.finish())
 }

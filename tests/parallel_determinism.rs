@@ -115,6 +115,15 @@ fn clean_workload_is_parallelism_invariant() {
     }
 }
 
+/// Per-run noise is a function of the run's identity, not of which worker
+/// records the run when, so even an impure host is byte-identical.
+#[test]
+fn noise_workload_is_parallelism_invariant() {
+    for aslr_seed in [None, Some(0xA51A)] {
+        assert_bit_identical(&NoiseDummy::new(), &[1, 2, 3], aslr_seed);
+    }
+}
+
 #[test]
 fn leaky_workload_verdict_survives_parallelism() {
     let aes = AesTTable::new(32);
