@@ -229,6 +229,9 @@ impl Adcfg {
 pub struct AdcfgBuilder {
     graph: Adcfg,
     warps: BTreeMap<u64, WarpCtx>,
+    /// One memory event's lane features, reused across events so that
+    /// gathering an event's lanes allocates nothing.
+    lanes: Vec<u64>,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -287,21 +290,19 @@ impl AdcfgBuilder {
         let bb = ctx.current.expect("memory access before any block entry");
         let j = (ctx.visit_counts[&bb] - 1) as usize;
         let node = self.graph.nodes.entry(bb).or_default();
-        BlockRecorder { node, j }
+        BlockRecorder {
+            node,
+            j,
+            lanes: &mut self.lanes,
+        }
     }
 
-    /// Finalises all warps (their last visits exit to the boundary) and
-    /// returns the assembled graph.
-    ///
-    /// Histograms and transition matrices buffer recent `record` calls in
-    /// an unsorted fast path; `finish` normalises every attribute so the
-    /// returned graph is fully sorted — downstream reads (iteration,
-    /// serde, hashing) never pay a lazy sort, and the invocation digest
-    /// cached over this graph stays valid as long as the graph is only
-    /// changed through [`Adcfg::merge`] (which also normalises).
+    /// Finalises all warps and returns the assembled graph: each warp's
+    /// last visit records its exit transition to [`BOUNDARY`] and its
+    /// exit edge. Every attribute is already sorted, since histograms and
+    /// transition matrices keep their bins sorted on every write.
     pub fn finish(mut self) -> Adcfg {
-        let warps = std::mem::take(&mut self.warps);
-        for ctx in warps.values() {
+        for ctx in self.warps.values() {
             if let Some(cur) = ctx.current {
                 let prev = ctx.prev.unwrap_or(BOUNDARY);
                 self.graph
@@ -311,14 +312,6 @@ impl AdcfgBuilder {
                     .transitions
                     .record(prev, BOUNDARY, 1);
                 *self.graph.edges.entry((cur, BOUNDARY)).or_insert(0) += 1;
-            }
-        }
-        for node in self.graph.nodes.values_mut() {
-            node.transitions.normalize();
-            for per_visit in node.mem.values_mut().chain(node.cost.values_mut()) {
-                for h in per_visit {
-                    h.normalize();
-                }
             }
         }
         self.graph
@@ -332,30 +325,39 @@ impl AdcfgBuilder {
 pub struct BlockRecorder<'a> {
     node: &'a mut Node,
     j: usize,
+    lanes: &'a mut Vec<u64>,
 }
 
 impl BlockRecorder<'_> {
     /// Records one memory access at `inst_idx` with per-lane (already
-    /// normalised) address values.
+    /// normalised) address values: the lanes are gathered into the
+    /// builder's reused buffer and merged into the visit's histogram in
+    /// one sorted pass. An access with no lanes still creates the visit's
+    /// histogram.
     pub fn access(&mut self, inst_idx: u32, addr_features: impl IntoIterator<Item = u64>) {
-        let per_visit = self.node.mem.entry(inst_idx).or_default();
-        if per_visit.len() <= self.j {
-            per_visit.resize(self.j + 1, Histogram::new());
-        }
-        let hist = &mut per_visit[self.j];
-        for a in addr_features {
-            hist.record(a, 1);
-        }
+        self.lanes.clear();
+        self.lanes.extend(addr_features);
+        visit_slot(&mut self.node.mem, inst_idx, self.j).record_each(self.lanes);
     }
 
     /// Records the microarchitectural cost of the access at `inst_idx`.
     pub fn cost(&mut self, inst_idx: u32, cost: u32) {
-        let per_visit = self.node.cost.entry(inst_idx).or_default();
-        if per_visit.len() <= self.j {
-            per_visit.resize(self.j + 1, Histogram::new());
-        }
-        per_visit[self.j].record(u64::from(cost), 1);
+        visit_slot(&mut self.node.cost, inst_idx, self.j).record(u64::from(cost), 1);
     }
+}
+
+/// The histogram of visit ordinal `j` at `inst_idx`, creating it (and any
+/// earlier ordinals' empty histograms) on first use.
+fn visit_slot(
+    per_inst: &mut BTreeMap<u32, Vec<Histogram>>,
+    inst_idx: u32,
+    j: usize,
+) -> &mut Histogram {
+    let per_visit = per_inst.entry(inst_idx).or_default();
+    if per_visit.len() <= j {
+        per_visit.resize(j + 1, Histogram::new());
+    }
+    &mut per_visit[j]
 }
 
 #[cfg(test)]
@@ -453,6 +455,46 @@ mod tests {
         assert_eq!(mem[0].count(0x100), 1);
         assert_eq!(mem[0].count(0x200), 0);
         assert_eq!(mem[1].count(0x200), 1);
+    }
+
+    #[test]
+    fn one_access_equals_its_lanes_recorded_alone() {
+        let lane_sets: [(&str, Vec<u64>); 5] = [
+            ("ascending", (0..32).map(|l| 0x100 + l * 4).collect()),
+            ("descending", (0..32).rev().map(|l| 0x100 + l * 4).collect()),
+            (
+                "interleaved",
+                (0..32).map(|l| 0x100 + (l * 13 % 32) / 2 * 8).collect(),
+            ),
+            ("broadcast", vec![0x40; 32]),
+            ("empty", Vec::new()),
+        ];
+        // Instruction 2 on the second visit of bb7 already holds bins when
+        // the lanes arrive. Instruction 3 gets only the lanes, so its
+        // per-visit histograms show what one access creates.
+        let build = |lanes: &[u64], alone: bool| {
+            let mut b = AdcfgBuilder::new();
+            walk(&mut b, 0, &[7, 8, 7]);
+            let mut rec = b.block_recorder(0);
+            rec.access(2, [0x104, 0x2000]);
+            if alone {
+                for &lane in lanes {
+                    rec.access(2, [lane]);
+                }
+            } else {
+                rec.access(2, lanes.iter().copied());
+            }
+            rec.access(3, lanes.iter().copied());
+            b.finish()
+        };
+        for (name, lanes) in &lane_sets {
+            let whole = build(lanes, false);
+            assert_eq!(whole, build(lanes, true), "{name}");
+            let per_visit = &whole.node(7).unwrap().mem[&3];
+            assert_eq!(per_visit.len(), 2, "{name}: the visit's histogram exists");
+            assert_eq!(per_visit[0], Histogram::new());
+            assert_eq!(per_visit[1].total(), lanes.len() as u64, "{name}");
+        }
     }
 
     #[test]

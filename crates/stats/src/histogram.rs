@@ -5,13 +5,12 @@
 //! [`Histogram`] is that structure: a map from an integer-valued feature
 //! (address offset, transition id, invocation count, …) to a count.
 //!
-//! Storage is the hybrid append/sorted layout of the private `pairtable`
-//! module: `record` lands in a fixed append buffer, reads see the sorted,
-//! coalesced bins (the *sorted-on-read* invariant), and the running total
-//! is maintained on write so [`Histogram::total`] is O(1). Call
-//! [`Histogram::normalize`] after a write burst to make subsequent reads
-//! allocation-free; `AdcfgBuilder::finish` does this for every histogram
-//! it produced.
+//! Storage is the always-sorted layout of the private `pairtable`
+//! module: the bins stay sorted and coalesced on every write, so every
+//! read borrows them, and the running total is maintained on write so
+//! [`Histogram::total`] is O(1). [`Histogram::record`] inserts one value;
+//! [`Histogram::record_each`] adds one memory event's lanes with a single
+//! sorted merge.
 
 use crate::pairtable::PairTable;
 use crate::samples::WeightedSamples;
@@ -51,6 +50,21 @@ impl Histogram {
         self.bins.record(value, count);
     }
 
+    /// Adds one observation of each value in `values` — one warp event's
+    /// lane features. `values` is sorted in place when some value steps
+    /// back; runs of equal values coalesce and merge into the bins at once.
+    ///
+    /// ```
+    /// use owl_stats::Histogram;
+    ///
+    /// let mut h = Histogram::new();
+    /// h.record_each(&mut [0x20, 0x10, 0x20, 0x20]);
+    /// assert_eq!(h.iter().collect::<Vec<_>>(), vec![(0x10, 1), (0x20, 3)]);
+    /// ```
+    pub fn record_each(&mut self, values: &mut [u64]) {
+        self.bins.record_each(values);
+    }
+
     /// The count recorded for `value` (zero when absent).
     pub fn count(&self, value: u64) -> u64 {
         self.bins.get(value)
@@ -85,13 +99,6 @@ impl Histogram {
         self.bins.merge(&other.bins);
     }
 
-    /// Folds buffered writes into the sorted bins so later reads borrow
-    /// instead of allocating. Purely an optimisation: observable state is
-    /// identical before and after.
-    pub fn normalize(&mut self) {
-        self.bins.normalize();
-    }
-
     /// Multiplies every bin count by `k` — bit-identical to merging this
     /// histogram `k` times into an empty one.
     pub fn scale(&mut self, k: u64) {
@@ -118,7 +125,7 @@ impl Histogram {
 impl fmt::Debug for Histogram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Histogram")
-            .field("bins", &self.bins.snapshot())
+            .field("bins", &self.bins.bins())
             .finish()
     }
 }
@@ -137,9 +144,8 @@ impl Serialize for Histogram {
     fn to_value(&self) -> Value {
         let bins = self
             .bins
-            .snapshot()
             .iter()
-            .map(|&(v, c)| (v.to_value(), c.to_value()))
+            .map(|(v, c)| (v.to_value(), c.to_value()))
             .collect();
         Value::Map(vec![(Value::Str("bins".into()), Value::Map(bins))])
     }
@@ -235,24 +241,6 @@ mod tests {
         let h: Histogram = [(9, 1), (1, 1), (5, 1)].into_iter().collect();
         let values: Vec<u64> = h.iter().map(|(v, _)| v).collect();
         assert_eq!(values, vec![1, 5, 9]);
-    }
-
-    #[test]
-    fn normalize_preserves_observable_state() {
-        let mut buffered: Histogram = (0..50).map(|i| (i % 13, 1 + i % 3)).collect();
-        let mut normalized = buffered.clone();
-        normalized.normalize();
-        assert_eq!(buffered, normalized);
-        assert_eq!(
-            buffered.iter().collect::<Vec<_>>(),
-            normalized.iter().collect::<Vec<_>>()
-        );
-        assert_eq!(
-            serde_json::to_string(&buffered).unwrap(),
-            serde_json::to_string(&normalized).unwrap()
-        );
-        buffered.normalize();
-        assert_eq!(buffered, normalized);
     }
 
     #[test]

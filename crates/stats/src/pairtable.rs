@@ -1,32 +1,34 @@
-//! Hybrid sorted/append storage shared by [`crate::Histogram`] and
+//! Sorted `(key, count)` storage shared by [`crate::Histogram`] and
 //! [`crate::TransitionMatrix`].
 //!
-//! The trace-recording hot path appends millions of `(key, count)`
-//! observations; a `BTreeMap` pays a node allocation and a pointer chase
-//! per insert. A [`PairTable`] instead keeps
+//! The trace-recording hot path adds millions of observations; a
+//! `BTreeMap` pays a node allocation and a pointer chase per insert. A
+//! [`PairTable`] instead keeps its bins always sorted by key, one entry
+//! per distinct key, inline (no heap) while at most [`INLINE`] entries and
+//! in a `Vec` beyond. Every read borrows the bins: iteration is a slice
+//! iterator, a lookup is a binary search.
 //!
-//! * `sorted` — the normalised bins: sorted by key, one entry per distinct
-//!   key, inline (no heap) while at most [`INLINE`] entries, and
-//! * `pending` — a fixed 8-slot append buffer that absorbs writes and is
-//!   *folded* (sorted, coalesced, merged) into `sorted` when full.
+//! Writes come in two shapes:
 //!
-//! Reads are **sorted-on-read**: every observation (`iter`, `get`,
-//! equality, `Hash`, serde) sees the normalised form, so callers cannot
-//! tell the append buffer exists. When `pending` is empty the snapshot is
-//! a borrow; otherwise it allocates a merged copy — call
-//! [`PairTable::normalize`] after the write burst (as `AdcfgBuilder::
-//! finish` does) to make every later read borrow.
+//! * [`PairTable::record`] adds one key by binary-search insertion, and
+//! * [`PairTable::record_each`] adds one warp event's lanes at once: it
+//!   sorts the keys only when one steps back, inserts a broadcast (every
+//!   lane on one key) as a single bin, and otherwise coalesces runs of
+//!   equal keys and merges the runs into the bins, once per [`RUNS`]
+//!   distinct keys (once per event for a 32-lane warp).
 //!
 //! The running `total` is maintained on write, making `Histogram::total`
 //! and `TransitionMatrix::executions` O(1).
 
-use std::borrow::Cow;
 use std::hash::{Hash, Hasher};
 
-/// Entries kept inline (no heap allocation) in both the sorted storage
-/// and the pending append buffer. Covers the common case: per-visit cost
-/// histograms hold one bin, address histograms a handful.
-pub(crate) const INLINE: usize = 8;
+/// Entries kept inline (no heap allocation). Covers the common case:
+/// per-visit cost histograms hold one bin, address histograms a handful.
+const INLINE: usize = 8;
+
+/// Coalesced runs [`PairTable::record_each`] gathers before a merge: one
+/// merge covers a 32-lane event.
+const RUNS: usize = 32;
 
 /// The key types the table is instantiated at.
 pub(crate) trait PairKey: Copy + Ord + Default + Hash {}
@@ -65,6 +67,35 @@ impl<K: PairKey> Sorted<K> {
             }
         } else {
             Sorted::Heap(pairs.to_vec())
+        }
+    }
+
+    /// Adds `count` to `key`'s bin, inserting the bin in key order when
+    /// it is new.
+    fn insert(&mut self, key: K, count: u64) {
+        match self {
+            Sorted::Inline { len, buf } => {
+                let n = usize::from(*len);
+                match buf[..n].binary_search_by_key(&key, |&(k, _)| k) {
+                    Ok(i) => buf[i].1 += count,
+                    Err(i) if n < INLINE => {
+                        buf.copy_within(i..n, i + 1);
+                        buf[i] = (key, count);
+                        *len += 1;
+                    }
+                    Err(i) => {
+                        let mut v = Vec::with_capacity(2 * INLINE);
+                        v.extend_from_slice(&buf[..i]);
+                        v.push((key, count));
+                        v.extend_from_slice(&buf[i..]);
+                        *self = Sorted::Heap(v);
+                    }
+                }
+            }
+            Sorted::Heap(v) => match v.binary_search_by_key(&key, |&(k, _)| k) {
+                Ok(i) => v[i].1 += count,
+                Err(i) => v.insert(i, (key, count)),
+            },
         }
     }
 
@@ -142,35 +173,14 @@ fn merge_to_vec<K: PairKey>(a: &[(K, u64)], b: &[(K, u64)]) -> Vec<(K, u64)> {
     out
 }
 
-/// Sorts `pending[..len]` by key and coalesces equal keys in place;
-/// returns the coalesced length.
-fn coalesce<K: PairKey>(pending: &mut [(K, u64)]) -> usize {
-    if pending.is_empty() {
-        return 0;
-    }
-    pending.sort_unstable_by_key(|&(k, _)| k);
-    let mut w = 0;
-    for i in 1..pending.len() {
-        if pending[i].0 == pending[w].0 {
-            pending[w].1 += pending[i].1;
-        } else {
-            w += 1;
-            pending[w] = pending[i];
-        }
-    }
-    w + 1
-}
-
-/// A counter map from `K` to `u64` with an append fast path.
+/// A counter map from `K` to `u64` over always-sorted bins.
 ///
 /// Observationally identical to a `BTreeMap<K, u64>` that drops zero
 /// counts: iteration order, equality, `Hash` and the running total all
-/// reflect the normalised bins regardless of how writes were buffered.
+/// read the sorted bins directly.
 #[derive(Debug, Clone)]
 pub(crate) struct PairTable<K> {
     sorted: Sorted<K>,
-    pending: [(K, u64); INLINE],
-    pending_len: u8,
     total: u64,
 }
 
@@ -178,8 +188,6 @@ impl<K: PairKey> Default for PairTable<K> {
     fn default() -> Self {
         PairTable {
             sorted: Sorted::new(),
-            pending: [(K::default(), 0); INLINE],
-            pending_len: 0,
             total: 0,
         }
     }
@@ -190,7 +198,7 @@ impl<K: PairKey> PairTable<K> {
         Self::default()
     }
 
-    /// Builds a table directly from already-normalised bins (deserialize
+    /// Builds a table directly from already-sorted bins (deserialize
     /// path). Keys must be strictly increasing; zero counts are dropped.
     pub fn from_sorted_pairs(pairs: Vec<(K, u64)>) -> Self {
         debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));
@@ -198,8 +206,6 @@ impl<K: PairKey> PairTable<K> {
         let total = pairs.iter().map(|&(_, c)| c).sum();
         PairTable {
             sorted: Sorted::from_slice(&pairs),
-            pending: [(K::default(), 0); INLINE],
-            pending_len: 0,
             total,
         }
     }
@@ -211,76 +217,60 @@ impl<K: PairKey> PairTable<K> {
             return;
         }
         self.total += count;
-        let len = usize::from(self.pending_len);
-        if len > 0 && self.pending[len - 1].0 == key {
-            self.pending[len - 1].1 += count;
-            return;
+        self.sorted.insert(key, count);
+    }
+
+    /// Adds one observation of each key in `keys`. The keys are sorted in
+    /// place only when one steps back. A broadcast (every key equal) is one
+    /// insert; otherwise runs of equal keys coalesce and merge into the
+    /// bins at once (once per [`RUNS`] distinct keys).
+    pub fn record_each(&mut self, keys: &mut [K]) {
+        if !keys.is_sorted() {
+            keys.sort_unstable();
         }
-        if len == INLINE {
-            self.fold();
-            self.pending[0] = (key, count);
-            self.pending_len = 1;
+        let (Some(&first), Some(&last)) = (keys.first(), keys.last()) else {
+            return;
+        };
+        self.total += keys.len() as u64;
+        if first == last {
+            self.sorted.insert(first, keys.len() as u64);
         } else {
-            self.pending[len] = (key, count);
-            self.pending_len = len as u8 + 1;
+            let mut runs = [(K::default(), 0u64); RUNS];
+            let mut n = 0;
+            for run in keys.chunk_by(|a, b| a == b) {
+                if n == RUNS {
+                    self.sorted.merge_in(&runs);
+                    n = 0;
+                }
+                runs[n] = (run[0], run.len() as u64);
+                n += 1;
+            }
+            self.sorted.merge_in(&runs[..n]);
         }
-    }
-
-    /// Folds the pending buffer into the sorted bins.
-    fn fold(&mut self) {
-        let len = usize::from(self.pending_len);
-        if len == 0 {
-            return;
-        }
-        let coalesced = coalesce(&mut self.pending[..len]);
-        self.sorted.merge_in(&self.pending[..coalesced]);
-        self.pending_len = 0;
-    }
-
-    /// Folds any buffered writes so later reads borrow the sorted bins
-    /// instead of allocating a merged snapshot.
-    pub fn normalize(&mut self) {
-        self.fold();
         debug_assert_eq!(
             self.total,
-            self.sorted.as_slice().iter().map(|&(_, c)| c).sum::<u64>(),
+            self.bins().iter().map(|&(_, c)| c).sum::<u64>(),
             "maintained total must match the bins"
         );
     }
 
-    /// The normalised bins: sorted by key, coalesced, zero-free. Borrows
-    /// when nothing is pending; allocates a merged copy otherwise.
-    pub fn snapshot(&self) -> Cow<'_, [(K, u64)]> {
-        let len = usize::from(self.pending_len);
-        if len == 0 {
-            return Cow::Borrowed(self.sorted.as_slice());
-        }
-        let mut pending = self.pending;
-        let coalesced = coalesce(&mut pending[..len]);
-        Cow::Owned(merge_to_vec(self.sorted.as_slice(), &pending[..coalesced]))
+    /// The bins: sorted by key, coalesced, zero-free.
+    pub fn bins(&self) -> &[(K, u64)] {
+        self.sorted.as_slice()
     }
 
     /// The count recorded for `key` (zero when absent).
     pub fn get(&self, key: K) -> u64 {
-        let sorted = self.sorted.as_slice();
-        let base = match sorted.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(i) => sorted[i].1,
+        let bins = self.bins();
+        match bins.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => bins[i].1,
             Err(_) => 0,
-        };
-        base + self.pending[..usize::from(self.pending_len)]
-            .iter()
-            .filter(|&&(k, _)| k == key)
-            .map(|&(_, c)| c)
-            .sum::<u64>()
+        }
     }
 
     /// The number of distinct keys observed.
     pub fn distinct(&self) -> usize {
-        if self.pending_len == 0 {
-            self.sorted.as_slice().len()
-        } else {
-            self.snapshot().len()
-        }
+        self.bins().len()
     }
 
     /// The sum of all counts, maintained on write (O(1)).
@@ -293,23 +283,18 @@ impl<K: PairKey> PairTable<K> {
         self.total == 0
     }
 
-    /// Iterates normalised `(key, count)` bins in increasing key order.
-    pub fn iter(&self) -> PairIter<'_, K> {
-        match self.snapshot() {
-            Cow::Borrowed(slice) => PairIter::Borrowed(slice.iter()),
-            Cow::Owned(vec) => PairIter::Owned(vec.into_iter()),
-        }
+    /// Iterates `(key, count)` bins in increasing key order.
+    pub fn iter(&self) -> impl Iterator<Item = (K, u64)> + '_ {
+        self.bins().iter().copied()
     }
 
     /// Adds every bin of `other` into this table (count-additive).
     pub fn merge(&mut self, other: &PairTable<K>) {
-        self.fold();
-        let add = other.snapshot();
-        if add.is_empty() {
+        if other.is_empty() {
             return;
         }
         self.total += other.total;
-        self.sorted.merge_in(&add);
+        self.sorted.merge_in(other.bins());
     }
 
     /// Multiplies every count by `k` — exactly equivalent to merging this
@@ -319,33 +304,25 @@ impl<K: PairKey> PairTable<K> {
         if k == 1 {
             return;
         }
-        self.total *= k;
-        match &mut self.sorted {
-            Sorted::Inline { len, buf } => {
-                for pair in &mut buf[..usize::from(*len)] {
-                    pair.1 *= k;
-                }
-            }
-            Sorted::Heap(v) => {
-                for pair in v {
-                    pair.1 *= k;
-                }
-            }
-        }
-        for pair in &mut self.pending[..usize::from(self.pending_len)] {
-            pair.1 *= k;
-        }
         if k == 0 {
             // Zero counts are not representable; scaling by zero empties.
-            self.sorted = Sorted::new();
-            self.pending_len = 0;
+            *self = Self::new();
+            return;
+        }
+        self.total *= k;
+        let bins = match &mut self.sorted {
+            Sorted::Inline { len, buf } => &mut buf[..usize::from(*len)],
+            Sorted::Heap(v) => v.as_mut_slice(),
+        };
+        for pair in bins {
+            pair.1 *= k;
         }
     }
 }
 
 impl<K: PairKey> PartialEq for PairTable<K> {
     fn eq(&self, other: &Self) -> bool {
-        self.total == other.total && self.snapshot() == other.snapshot()
+        self.total == other.total && self.bins() == other.bins()
     }
 }
 
@@ -354,38 +331,13 @@ impl<K: PairKey> Eq for PairTable<K> {}
 impl<K: PairKey> Hash for PairTable<K> {
     /// Matches the derived hash of a `BTreeMap<K, u64>` field exactly
     /// (length prefix via `write_usize`, then each `(key, count)` pair in
-    /// key order), so trace digests are unchanged by the hybrid storage.
+    /// key order), so trace digests do not depend on the storage.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        let snapshot = self.snapshot();
-        state.write_usize(snapshot.len());
-        for &(k, c) in snapshot.iter() {
+        let bins = self.bins();
+        state.write_usize(bins.len());
+        for &(k, c) in bins {
             k.hash(state);
             c.hash(state);
-        }
-    }
-}
-
-/// Iterator over normalised bins; borrows the sorted storage when no
-/// writes are pending.
-pub(crate) enum PairIter<'a, K> {
-    Borrowed(std::slice::Iter<'a, (K, u64)>),
-    Owned(std::vec::IntoIter<(K, u64)>),
-}
-
-impl<K: Copy> Iterator for PairIter<'_, K> {
-    type Item = (K, u64);
-
-    fn next(&mut self) -> Option<(K, u64)> {
-        match self {
-            PairIter::Borrowed(it) => it.next().copied(),
-            PairIter::Owned(it) => it.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            PairIter::Borrowed(it) => it.size_hint(),
-            PairIter::Owned(it) => it.size_hint(),
         }
     }
 }
@@ -415,7 +367,7 @@ mod tests {
         for k in 0..100u64 {
             t.record(k % 37, 1);
         }
-        t.normalize();
+        assert!(matches!(t.sorted, Sorted::Heap(_)));
         assert_eq!(t.distinct(), 37);
         assert_eq!(t.total(), 100);
         let p = pairs(&t);
@@ -424,31 +376,38 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_borrows_after_normalize() {
-        let mut t = PairTable::new();
-        t.record(3u64, 1);
-        assert!(matches!(t.snapshot(), Cow::Owned(_)), "pending write");
-        t.normalize();
-        assert!(matches!(t.snapshot(), Cow::Borrowed(_)));
-    }
-
-    #[test]
-    fn equality_and_hash_ignore_buffering() {
-        use std::hash::{DefaultHasher, Hasher as _};
-        let mut buffered = PairTable::new();
-        let mut normalized = PairTable::new();
-        for &k in &[8u64, 2, 8, 4] {
-            buffered.record(k, 1);
-            normalized.record(k, 1);
+    fn record_each_matches_single_records() {
+        let ascending: Vec<u64> = (0..32).map(|i| i / 3).collect();
+        let descending: Vec<u64> = (0..32).rev().collect();
+        let interleaved: Vec<u64> = (0..40).map(|i| (i * 7) % 19).collect();
+        let wide: Vec<u64> = (0..3 * RUNS as u64).map(|i| i * 5 % 97).collect();
+        // Prefixes leave the bins empty, inline with room, inline and full,
+        // or spilled.
+        let full: Vec<u64> = (0..INLINE as u64).map(|k| k * 9).collect();
+        let spilled: Vec<u64> = (0..20).collect();
+        for (name, keys) in [
+            ("ascending", ascending),
+            ("descending", descending),
+            ("interleaved", interleaved),
+            ("broadcast", vec![42; 32]),
+            ("wider than one merge", wide),
+            ("empty", Vec::new()),
+        ] {
+            for prefix in [&[][..], &[3u64, 60][..], &full[..], &spilled[..]] {
+                let mut single = PairTable::new();
+                let mut batch = PairTable::new();
+                for &k in prefix {
+                    single.record(k, 1);
+                    batch.record(k, 1);
+                }
+                for &k in &keys {
+                    single.record(k, 1);
+                }
+                batch.record_each(&mut keys.clone());
+                assert_eq!(batch, single, "{name} after {} keys", prefix.len());
+                assert_eq!(pairs(&batch), pairs(&single), "{name}");
+            }
         }
-        normalized.normalize();
-        assert_eq!(buffered, normalized);
-        let digest = |t: &PairTable<u64>| {
-            let mut h = DefaultHasher::new();
-            t.hash(&mut h);
-            h.finish()
-        };
-        assert_eq!(digest(&buffered), digest(&normalized));
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! has no successor; the paper models these with a special boundary block,
 //! here [`BOUNDARY`].
 //!
-//! Like [`Histogram`], the matrix uses the hybrid append/sorted storage of
-//! the private `pairtable` module: `record` is an append, reads are
-//! sorted-on-read, and [`TransitionMatrix::executions`] is a maintained
-//! O(1) total.
+//! Like [`Histogram`], the matrix uses the always-sorted storage of the
+//! private `pairtable` module: `record` is a binary-search insert, every
+//! read borrows the sorted entries, and [`TransitionMatrix::executions`]
+//! is a maintained O(1) total.
 
 use crate::histogram::Histogram;
 use crate::pairtable::PairTable;
@@ -105,12 +105,6 @@ impl TransitionMatrix {
         self.counts.merge(&other.counts);
     }
 
-    /// Folds buffered writes into the sorted entries so later reads borrow
-    /// instead of allocating. Observable state is unchanged.
-    pub fn normalize(&mut self) {
-        self.counts.normalize();
-    }
-
     /// Multiplies every traversal count by `k` — bit-identical to merging
     /// this matrix `k` times into an empty one.
     pub fn scale(&mut self, k: u64) {
@@ -140,7 +134,7 @@ impl TransitionMatrix {
 impl fmt::Debug for TransitionMatrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TransitionMatrix")
-            .field("counts", &self.counts.snapshot())
+            .field("counts", &self.counts.bins())
             .finish()
     }
 }
@@ -159,9 +153,8 @@ impl Serialize for TransitionMatrix {
     fn to_value(&self) -> Value {
         let entries = self
             .counts
-            .snapshot()
             .iter()
-            .map(|&((s, d), c)| {
+            .map(|((s, d), c)| {
                 Value::Seq(vec![
                     Value::Seq(vec![s.to_value(), d.to_value()]),
                     c.to_value(),
@@ -178,12 +171,11 @@ impl<'de> Deserialize<'de> for TransitionMatrix {
         let counts = serde::__private::map_field(entries, "counts")?;
         let pairs = Vec::<((u32, u32), u64)>::from_value(counts)?;
         // Entry lists written by us are sorted and unique, but accept any
-        // order by rebuilding through the table's own normalisation.
+        // order by inserting each entry into the sorted table.
         let mut table = PairTable::new();
         for (key, count) in pairs {
             table.record(key, count);
         }
-        table.normalize();
         Ok(TransitionMatrix { counts: table })
     }
 }

@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::hash::{BuildHasher, Hash, RandomState};
 
-/// The naive reference model for both hybrid tables: a `BTreeMap` that
-/// drops zero-count records, exactly like the pre-hybrid storage did.
+/// The naive reference model for both sorted tables: a `BTreeMap` that
+/// drops zero-count records, exactly like the original storage did.
 fn model_of<K: Ord + Copy>(ops: &[(K, u64)]) -> BTreeMap<K, u64> {
     let mut m = BTreeMap::new();
     for &(k, c) in ops {
@@ -18,31 +18,42 @@ fn model_of<K: Ord + Copy>(ops: &[(K, u64)]) -> BTreeMap<K, u64> {
 }
 
 /// Hashes a value with one fixed `RandomState`, so two observationally
-/// equal values must collide. The model comparison relies on the hybrid
+/// equal values must collide. The model comparison relies on the sorted
 /// tables' documented bit-compatibility with a derived `BTreeMap` hash.
 fn hash_pair<A: Hash, B: Hash>(s: &RandomState, a: &A, b: &B) -> (u64, u64) {
     (s.hash_one(a), s.hash_one(b))
 }
 
-/// Builds a histogram from `ops`, normalising mid-stream at `split` to
-/// exercise the buffered→sorted fold on a half-built table.
-fn build_hist(ops: &[(u64, u64)], split: usize) -> Histogram {
+/// Builds a histogram from `ops` through both insert paths: single
+/// `record`s before `split`, then the rest as unit observations (`c`
+/// copies of `v`, a broadcast run) fed to `record_each` in chunks of up
+/// to `chunk`. Chunks cycle through generated order (unsorted, with
+/// duplicates), descending and ascending, so every batch shape meets
+/// both inline and spilled bins.
+fn build_hist(ops: &[(u64, u64)], split: usize, chunk: usize) -> Histogram {
+    let split = split.min(ops.len());
     let mut h = Histogram::new();
-    for (i, &(v, c)) in ops.iter().enumerate() {
-        if i == split {
-            h.normalize();
-        }
+    for &(v, c) in &ops[..split] {
         h.record(v, c);
+    }
+    let mut units: Vec<u64> = ops[split..]
+        .iter()
+        .flat_map(|&(v, c)| std::iter::repeat_n(v, c as usize))
+        .collect();
+    for (i, batch) in units.chunks_mut(chunk).enumerate() {
+        match i % 3 {
+            0 => {}
+            1 => batch.sort_unstable_by(|a, b| b.cmp(a)),
+            _ => batch.sort_unstable(),
+        }
+        h.record_each(batch);
     }
     h
 }
 
-fn build_matrix(ops: &[((u32, u32), u64)], split: usize) -> TransitionMatrix {
+fn build_matrix(ops: &[((u32, u32), u64)]) -> TransitionMatrix {
     let mut t = TransitionMatrix::new();
-    for (i, &((s, d), c)) in ops.iter().enumerate() {
-        if i == split {
-            t.normalize();
-        }
+    for &((s, d), c) in ops {
         t.record(s, d, c);
     }
     t
@@ -123,17 +134,19 @@ proptest! {
         prop_assert_eq!(xy.rejected, yx.rejected);
     }
 
-    /// The hybrid-storage `Histogram` is observationally identical to the
+    /// The sorted-storage `Histogram` is observationally identical to the
     /// naive `BTreeMap` model: iteration order, point lookups, totals,
-    /// serde bytes, and `Hash`, at every buffered/normalised state.
+    /// serde bytes, and `Hash`, whichever mix of single and batch inserts
+    /// built it.
     #[test]
     fn histogram_matches_btreemap_model(
         ops in prop::collection::vec((0u64..48, 0u64..6), 0..80),
         split in 0usize..80,
+        chunk in 1usize..=64,
         rot in 0usize..80,
     ) {
         let model = model_of(&ops);
-        let h = build_hist(&ops, split);
+        let h = build_hist(&ops, split, chunk);
 
         // Iteration order and content.
         prop_assert_eq!(
@@ -156,47 +169,47 @@ proptest! {
         prop_assert_eq!(serde_json::to_string(&h).unwrap(), expected_json);
 
         // Hash is bit-compatible with hashing the model map directly (the
-        // previous representation was a single derived `BTreeMap` field),
-        // and insensitive to insertion order and normalisation state.
+        // original representation was a single derived `BTreeMap` field),
+        // and insensitive to insertion order and insert path.
         let state = RandomState::new();
         let (hh, hm) = hash_pair(&state, &h, &model);
         prop_assert_eq!(hh, hm);
         let rot = rot.min(ops.len());
         let mut rotated = ops.clone();
         rotated.rotate_left(rot);
-        let h2 = build_hist(&rotated, usize::MAX);
+        let h2 = build_hist(&rotated, usize::MAX, chunk);
         prop_assert_eq!(&h, &h2);
         let (ha, hb) = hash_pair(&state, &h, &h2);
         prop_assert_eq!(ha, hb);
     }
 
-    /// Merging two hybrid histograms equals merging their models.
+    /// Merging two sorted-storage histograms equals merging their models.
     #[test]
     fn histogram_merge_matches_btreemap_model(
         ops in prop::collection::vec((0u64..48, 0u64..6), 0..80),
         cut in 0usize..80,
         split in 0usize..80,
+        chunk in 1usize..=64,
     ) {
         let cut = cut.min(ops.len());
-        let mut merged = build_hist(&ops[..cut], split);
-        merged.merge(&build_hist(&ops[cut..], split / 2));
+        let mut merged = build_hist(&ops[..cut], split, chunk);
+        merged.merge(&build_hist(&ops[cut..], split / 2, chunk));
         prop_assert_eq!(
             merged.iter().collect::<Vec<_>>(),
             model_of(&ops).iter().map(|(&v, &c)| (v, c)).collect::<Vec<_>>()
         );
     }
 
-    /// The hybrid-storage `TransitionMatrix` is observationally identical
+    /// The sorted-storage `TransitionMatrix` is observationally identical
     /// to the naive `BTreeMap<(u32, u32), u64>` model, including its
     /// entry-list serde form and the maintained `executions` total.
     #[test]
     fn transition_matrix_matches_btreemap_model(
         ops in prop::collection::vec(((0u32..6, 0u32..6), 0u64..6), 0..80),
-        split in 0usize..80,
         cut in 0usize..80,
     ) {
         let model = model_of(&ops);
-        let t = build_matrix(&ops, split);
+        let t = build_matrix(&ops);
 
         prop_assert_eq!(
             t.iter().collect::<Vec<_>>(),
@@ -219,20 +232,21 @@ proptest! {
         let back: TransitionMatrix = serde_json::from_str(&expected_json).unwrap();
         prop_assert_eq!(&back, &t);
 
-        // Hash is bit-compatible with the model map and agrees across
-        // normalisation states.
+        // Hash is bit-compatible with the model map and insensitive to
+        // insertion order.
         let state = RandomState::new();
         let (ht, hm) = hash_pair(&state, &t, &model);
         prop_assert_eq!(ht, hm);
-        let mut normalized = t.clone();
-        normalized.normalize();
-        let (ha, hb) = hash_pair(&state, &t, &normalized);
+        let reversed: Vec<_> = ops.iter().rev().copied().collect();
+        let backwards = build_matrix(&reversed);
+        prop_assert_eq!(&backwards, &t);
+        let (ha, hb) = hash_pair(&state, &t, &backwards);
         prop_assert_eq!(ha, hb);
 
         // Merge of a split build equals the whole-model build.
         let cut = cut.min(ops.len());
-        let mut merged = build_matrix(&ops[..cut], split);
-        merged.merge(&build_matrix(&ops[cut..], split / 2));
+        let mut merged = build_matrix(&ops[..cut]);
+        merged.merge(&build_matrix(&ops[cut..]));
         prop_assert_eq!(&merged, &t);
     }
 
