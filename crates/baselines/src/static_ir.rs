@@ -272,7 +272,7 @@ mod tests {
     use owl_gpu::isa::{CmpOp, MemWidth};
 
     /// A perfectly clean kernel: out[tid] = in[tid] * 2.
-    fn clean_kernel() -> KernelProgram {
+    fn clean_kernel() -> owl_gpu::Kernel {
         let b = KernelBuilder::new("clean");
         let x = b.param(0);
         let out = b.param(1);

@@ -336,10 +336,10 @@ mod tests {
     use owl_gpu::build::KernelBuilder;
     use owl_gpu::grid::LaunchConfig;
     use owl_gpu::isa::{MemWidth, SpecialReg};
-    use owl_gpu::KernelProgram;
+    use owl_gpu::Kernel;
 
     /// A minimal well-behaved program: one kernel, one malloc.
-    struct Probe(KernelProgram);
+    struct Probe(Kernel);
 
     impl Probe {
         fn new() -> Self {

@@ -33,7 +33,7 @@
 //!
 //! /// A toy "crypto" kernel that indexes a table with the secret — the
 //! /// classic leaky pattern.
-//! struct TableLookup(owl_gpu::KernelProgram);
+//! struct TableLookup(owl_gpu::Kernel);
 //!
 //! impl TableLookup {
 //!     fn new() -> Self {

@@ -317,14 +317,14 @@ mod tests {
     use owl_gpu::build::KernelBuilder;
     use owl_gpu::grid::LaunchConfig;
     use owl_gpu::isa::{CmpOp, MemWidth, SpecialReg};
-    use owl_gpu::KernelProgram;
+    use owl_gpu::Kernel;
     use owl_host::HostError;
 
     /// A toy program with a secret-dependent host decision: launches a
     /// second kernel only when the secret is odd.
     struct Toy {
-        k1: KernelProgram,
-        k2: KernelProgram,
+        k1: Kernel,
+        k2: Kernel,
     }
 
     impl Toy {
@@ -440,7 +440,7 @@ mod tests {
     /// second, mallocs a fourth, then launches one kernel that loads from
     /// buffers 1 and 3 and stores to buffer 4.
     struct Churn {
-        kernel: KernelProgram,
+        kernel: Kernel,
     }
 
     impl Churn {

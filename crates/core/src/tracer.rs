@@ -139,7 +139,7 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    fn lookup_kernel() -> owl_gpu::KernelProgram {
+    fn lookup_kernel() -> owl_gpu::Kernel {
         let b = KernelBuilder::new("lookup");
         let table = b.param(0);
         let out = b.param(1);

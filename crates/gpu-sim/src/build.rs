@@ -4,7 +4,7 @@
 //! operations plus structured control flow (`if_then`, `if_then_else`,
 //! `while_loop`, `for_range`) and barriers. Every emitted program is
 //! well-formed by construction: reconvergence points exist at every region
-//! end, and `finish` validates the result.
+//! end, and `finish` returns it as a validated [`Kernel`].
 //!
 //! Builder methods take `&self` (state lives in a `RefCell`) so value
 //! expressions compose naturally:
@@ -27,7 +27,7 @@ use crate::isa::{
     AtomicOp, BinOp, CmpOp, Guard, Inst, InstOp, MemSpace, MemWidth, Operand, Pred, Reg, ShflMode,
     SpecialReg, UnOp,
 };
-use crate::program::{BasicBlock, BlockId, KernelProgram, Region, Stmt};
+use crate::program::{BasicBlock, BlockId, Kernel, KernelProgram, Region, Stmt};
 use std::cell::RefCell;
 
 /// A value handle: a general-purpose register produced by a builder method.
@@ -57,7 +57,7 @@ struct BuilderState {
     local_bytes: u32,
 }
 
-/// Builds [`KernelProgram`]s. See the [module docs](self) for an example.
+/// Builds [`Kernel`]s. See the [module docs](self) for an example.
 pub struct KernelBuilder {
     name: String,
     state: RefCell<BuilderState>,
@@ -708,13 +708,13 @@ impl KernelBuilder {
         )
     }
 
-    /// Seals the kernel and returns the validated program.
+    /// Seals the kernel and returns it validated and register-allocated.
     ///
     /// # Panics
     ///
     /// Panics if the produced program fails validation — that would be a
     /// builder bug, not a user error.
-    pub fn finish(self) -> KernelProgram {
+    pub fn finish(self) -> Kernel {
         self.flush_stmt();
         let state = self.state.into_inner();
         assert_eq!(
@@ -732,10 +732,7 @@ impl KernelBuilder {
             shared_mem_bytes: state.shared_bytes,
             local_mem_bytes: state.local_bytes,
         };
-        program
-            .validate()
-            .expect("builder produced an invalid program");
-        program
+        Kernel::new(program).expect("builder produced an invalid program")
     }
 }
 

@@ -228,8 +228,9 @@ mod tests {
     use super::*;
     use crate::build::KernelBuilder;
     use crate::isa::{MemWidth, SpecialReg};
+    use crate::program::Kernel;
 
-    fn sample() -> KernelProgram {
+    fn sample() -> Kernel {
         let b = KernelBuilder::new("sample");
         let t = b.param(0);
         let tid = b.special(SpecialReg::GlobalTid);
@@ -292,7 +293,7 @@ mod tests {
     fn every_instruction_formats_without_panicking() {
         use crate::genkernel::GeneratedKernel;
         use std::collections::HashMap;
-        let programs = std::iter::once(sample())
+        let programs = std::iter::once(KernelProgram::clone(&sample()))
             .chain((0..64u64).map(|seed| GeneratedKernel::generate(seed).program));
         let mut texts: HashMap<String, Inst> = HashMap::new();
         let mut spellings: HashMap<(&str, String), String> = HashMap::new();

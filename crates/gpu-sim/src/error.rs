@@ -8,7 +8,10 @@ use crate::program::{BlockId, ProgramError};
 /// An error raised while launching or executing a kernel.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecError {
-    /// The kernel failed static validation.
+    /// The kernel failed static validation. A launch never returns it,
+    /// since [`crate::program::Kernel::new`] validates every kernel when it
+    /// is built; it remains for callers that report a [`ProgramError`] as
+    /// an execution error, such as `owl-core`'s fault injector (`inject.rs`).
     InvalidProgram(ProgramError),
     /// A lane performed an out-of-bounds or unmapped access.
     Memory {
@@ -123,11 +126,5 @@ impl std::error::Error for ExecError {
             ExecError::Memory { source, .. } => Some(source),
             _ => None,
         }
-    }
-}
-
-impl From<ProgramError> for ExecError {
-    fn from(e: ProgramError) -> Self {
-        ExecError::InvalidProgram(e)
     }
 }

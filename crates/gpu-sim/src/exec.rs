@@ -12,9 +12,8 @@ use crate::cancel::CancelToken;
 use crate::error::ExecError;
 use crate::grid::LaunchConfig;
 use crate::hook::{KernelHook, LaunchInfo, MemEventBatch};
-use crate::lowered::LoweredProgram;
 use crate::mem::{DeviceMemory, LinearMemory};
-use crate::program::KernelProgram;
+use crate::program::Kernel;
 use crate::warp::{ExecEnv, WarpExec, WarpStatus};
 use owl_metrics::SimCounters;
 
@@ -59,12 +58,14 @@ impl LaunchStats {
 /// random kernels through both and demanding bit-equality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Interpreter {
-    /// The production fast path: pre-lowered IR, batched memory events.
+    /// The production fast path: whole-warp execution of the kernel's
+    /// register-allocated blocks, batched memory events.
     #[default]
     Lowered,
     /// The deliberately naive reference oracle ([`crate::oracle`]): executes
-    /// the unlowered program form directly, one instruction and one hook
-    /// event at a time, sharing no interpretation logic with the fast path.
+    /// the program as written, one register per value, one instruction and
+    /// one hook event at a time, sharing no interpretation logic with the
+    /// fast path.
     Oracle,
 }
 
@@ -96,13 +97,15 @@ impl Default for LaunchOptions {
     }
 }
 
-/// Launches `program` over `mem` with the given geometry and arguments,
-/// reporting every instrumentation event to `hook`.
+/// Launches `kernel` over `mem` with the given geometry and arguments,
+/// reporting every instrumentation event to `hook`. The kernel was
+/// validated when it was built, so a launch does no validation.
 ///
 /// # Errors
 ///
-/// Returns an [`ExecError`] when the kernel fails validation, a lane
-/// faults, a barrier is misused, or the instruction budget runs out.
+/// Returns an [`ExecError`] when the launch is empty or its warp size out
+/// of range, a lane faults, a barrier is misused, the launch is cancelled,
+/// or the instruction budget runs out.
 ///
 /// # Example
 ///
@@ -131,12 +134,12 @@ impl Default for LaunchOptions {
 /// ```
 pub fn launch(
     mem: &mut DeviceMemory,
-    program: &KernelProgram,
+    kernel: &Kernel,
     config: LaunchConfig,
     args: &[u64],
     hook: &mut dyn KernelHook,
 ) -> Result<LaunchStats, ExecError> {
-    launch_with_options(mem, program, config, args, hook, LaunchOptions::default())
+    launch_with_options(mem, kernel, config, args, hook, LaunchOptions::default())
 }
 
 /// [`launch`] with explicit [`LaunchOptions`].
@@ -146,16 +149,15 @@ pub fn launch(
 /// See [`launch`].
 pub fn launch_with_options(
     mem: &mut DeviceMemory,
-    program: &KernelProgram,
+    kernel: &Kernel,
     config: LaunchConfig,
     args: &[u64],
     hook: &mut dyn KernelHook,
     options: LaunchOptions,
 ) -> Result<LaunchStats, ExecError> {
     if options.interpreter == Interpreter::Oracle {
-        return crate::oracle::launch_oracle(mem, program, config, args, hook, options);
+        return crate::oracle::launch_oracle(mem, kernel, config, args, hook, options);
     }
-    program.validate()?;
     if config.total_threads() == 0 {
         return Err(ExecError::EmptyLaunch);
     }
@@ -174,14 +176,12 @@ pub fn launch_with_options(
         return Err(ExecError::Cancelled);
     }
     let info = LaunchInfo {
-        kernel: program.name.clone(),
+        kernel: kernel.name.clone(),
         config,
         warp_size: options.warp_size,
     };
     hook.kernel_begin(&info);
 
-    // Pre-decode the kernel once; every warp interprets the lowered form.
-    let lowered = LoweredProgram::lower(program);
     let mut fuel = options.fuel;
     let mut cancel_countdown = 0u32;
     let mut counters = SimCounters::default();
@@ -194,12 +194,11 @@ pub fn launch_with_options(
     let warps_per_block = config.warps_per_block_for(options.warp_size);
     for cta in 0..n_ctas {
         stats.ctas += 1;
-        let mut shared = LinearMemory::new(program.shared_mem_bytes as usize);
+        let mut shared = LinearMemory::new(kernel.shared_mem_bytes as usize);
         let mut warps: Vec<WarpExec<'_>> = (0..warps_per_block)
             .map(|w| {
                 WarpExec::new(
-                    program,
-                    &lowered,
+                    kernel,
                     config.grid,
                     config.block,
                     cta as u32,

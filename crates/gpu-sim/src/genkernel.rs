@@ -12,11 +12,14 @@
 //! between interpreters is fuzzed too.
 //!
 //! [`diff_case`] is the differential driver: it runs one generated kernel
-//! through the production lowered interpreter and through the naive
-//! reference oracle ([`crate::oracle`]), and demands bit-identical results
+//! through the production lowered interpreter, which executes the
+//! register-allocated blocks of a [`Kernel`], and through the naive
+//! reference oracle ([`crate::oracle`]), which executes the program as
+//! written, and demands bit-identical results
 //! (launch outcome, [`LaunchStats`], every hook event in order, and final
 //! device memory). [`shrink`] greedily minimises a failing kernel for the
-//! regression corpus.
+//! regression corpus, which is why generated kernels stay plain, editable
+//! [`KernelProgram`]s until a launch builds the [`Kernel`].
 //!
 //! The module is self-contained (seed-driven, no external RNG crate) so it
 //! can live in `src/` and be reused by unit tests, integration tests and
@@ -33,7 +36,7 @@ use crate::isa::{
     SpecialReg, UnOp,
 };
 use crate::mem::DeviceMemory;
-use crate::program::{BasicBlock, BlockId, KernelProgram, Region, Stmt};
+use crate::program::{BasicBlock, BlockId, Kernel, KernelProgram, Region, Stmt};
 
 /// SplitMix64 — a tiny, deterministic, dependency-free generator. The
 /// sequence is part of the corpus format: a persisted seed must keep
@@ -783,13 +786,18 @@ pub struct LaunchObservation {
 
 /// Runs `kernel` once under the chosen interpreter on a freshly
 /// initialised device and captures everything observable.
+///
+/// # Panics
+///
+/// Panics when `kernel.program` fails validation.
 pub fn run_kernel(kernel: &GeneratedKernel, interpreter: Interpreter) -> LaunchObservation {
+    let launchable = Kernel::new(kernel.program.clone()).expect("generated programs validate");
     let mut mem = DeviceMemory::new();
     let args = kernel.setup(&mut mem);
     let mut hook = RecordingHook::default();
     let result = launch_with_options(
         &mut mem,
-        &kernel.program,
+        &launchable,
         kernel.config,
         &args,
         &mut hook,
@@ -828,6 +836,10 @@ pub fn run_kernel(kernel: &GeneratedKernel, interpreter: Interpreter) -> LaunchO
 /// # Errors
 ///
 /// Returns `Err` when any observable differs between the interpreters.
+///
+/// # Panics
+///
+/// Panics when `kernel.program` fails validation.
 pub fn diff_case(kernel: &GeneratedKernel) -> Result<(), String> {
     let fast = run_kernel(kernel, Interpreter::Lowered);
     let oracle = run_kernel(kernel, Interpreter::Oracle);

@@ -3,8 +3,9 @@
 //! This crate is the execution substrate of the Owl reproduction: it plays
 //! the role of the NVIDIA GPU plus NVBit in the original paper. Kernels are
 //! built with a structured DSL ([`build::KernelBuilder`]), compiled to a
-//! SASS-like register IR ([`isa`]), and executed in 32-lane warps with
-//! exact SIMT divergence/reconvergence and CUDA-style predicated execution
+//! SASS-like register IR ([`isa`]), validated and register-allocated once
+//! into a [`Kernel`], and executed in 32-lane warps with exact SIMT
+//! divergence/reconvergence and CUDA-style predicated execution
 //! ([`exec::launch`]). Instrumentation hooks ([`hook::KernelHook`]) observe
 //! basic-block entries per warp and memory accesses per lane — precisely
 //! the trace observables Owl's detector consumes.
@@ -86,4 +87,4 @@ pub use hook::{
 };
 pub use mem::{AllocId, DeviceMemory};
 pub use owl_metrics::SimCounters;
-pub use program::{BlockId, KernelProgram};
+pub use program::{BlockId, Kernel, KernelProgram};

@@ -2,8 +2,9 @@
 //!
 //! This module is the independent semantics the differential conformance
 //! suite checks the production interpreter against (cuFuzz-style random
-//! program differential testing). It executes the *unlowered*
-//! [`KernelProgram`] form directly:
+//! program differential testing). It executes a [`Kernel`]'s
+//! [`KernelProgram`] as written, with one register per value, never the
+//! register-allocated blocks the production interpreter runs:
 //!
 //! * plain recursive descent over the structured statement tree — no
 //!   explicit frame stack;
@@ -18,10 +19,11 @@
 //! The only things it shares with the fast path are the *contract
 //! definitions*: the ISA types, the memory model ([`crate::mem`]), the hook
 //! interface with its event container and cost model ([`crate::hook`]), and
-//! the error type.
-//! It must never depend on `crate::lowered` — if the two interpreters
-//! shared interpretation logic, a bug there would be invisible to the
-//! differential suite.
+//! the error type, plus [`Kernel`] as the proof that a program was
+//! validated. It must never read the allocated blocks or depend on
+//! `crate::lowered` — if the two interpreters shared interpretation
+//! logic or register numbering, a bug there would be invisible to the
+//! differential suite, which is also what checks the register allocation.
 //!
 //! The observable contract both interpreters satisfy:
 //!
@@ -42,7 +44,7 @@ use crate::isa::{
     CANONICAL_NAN,
 };
 use crate::mem::{AccessError, DeviceMemory, LinearMemory};
-use crate::program::{BlockId, KernelProgram, Region, Stmt};
+use crate::program::{BlockId, Kernel, KernelProgram, Region, Stmt};
 use owl_metrics::SimCounters;
 
 use crate::exec::{LaunchOptions, LaunchStats};
@@ -650,7 +652,8 @@ impl<'p> OracleWarp<'p> {
 ///
 /// The engine loop mirrors the production engine (sequential CTAs, warps
 /// run to the next barrier, barrier releases when every non-done warp has
-/// parked) but drives `OracleWarp`s over the unlowered program form.
+/// parked) but drives `OracleWarp`s over the program as written. Like the
+/// production engine it does no validation: [`Kernel::new`] did.
 ///
 /// # Errors
 ///
@@ -659,13 +662,13 @@ impl<'p> OracleWarp<'p> {
 /// contract.
 pub fn launch_oracle(
     mem: &mut DeviceMemory,
-    program: &KernelProgram,
+    kernel: &Kernel,
     config: LaunchConfig,
     args: &[u64],
     hook: &mut dyn KernelHook,
     options: LaunchOptions,
 ) -> Result<LaunchStats, ExecError> {
-    program.validate()?;
+    let program: &KernelProgram = kernel;
     if config.total_threads() == 0 {
         return Err(ExecError::EmptyLaunch);
     }

@@ -79,12 +79,12 @@ impl Region {
     }
 }
 
-/// A complete, validated kernel.
+/// A kernel as written: basic blocks, the structured body and the
+/// resources it declares, with one register per value.
 ///
-/// Kernel programs are plain data: the parallel evidence phase shares them
-/// freely across recording workers (each worker owns its own `Device`, but
-/// all of them launch the same programs). The assertion below keeps that
-/// contract from silently breaking if a non-`Send`/`Sync` field is added.
+/// A `KernelProgram` is plain data that nothing checks on its own: the
+/// kernel generator and its shrinker edit programs freely. [`Kernel::new`]
+/// validates one and makes it launchable.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelProgram {
     /// Human-readable kernel name (the `__global__` function name).
@@ -103,11 +103,72 @@ pub struct KernelProgram {
     pub local_mem_bytes: u32,
 }
 
-// Recording workers in `owl-core` borrow kernel programs across threads.
+/// A validated kernel, register-allocated once for the warp interpreter:
+/// the only thing a launch accepts.
+///
+/// [`Kernel::new`] validates the program, then allocates its registers
+/// (see the `lowered` module): block-local temporaries share slots in a
+/// copy of the blocks the warp interpreter executes, so a warp's register
+/// file has [`Kernel::slots`] rows instead of one per value. The kernel
+/// derefs, read-only, to the [`KernelProgram`] as written, which the
+/// reference oracle executes and the static readers inspect. A `Kernel`
+/// cannot change after it is built, so its allocated form needs no cache
+/// key and no invalidation.
+///
+/// Kernels are plain data: the parallel evidence phase shares them freely
+/// across recording workers (each worker owns its own `Device`, but all of
+/// them launch the same kernels). The assertion below keeps that contract
+/// from silently breaking if a non-`Send`/`Sync` field is added.
+#[derive(Debug, Clone)]
+pub struct Kernel {
+    program: KernelProgram,
+    /// `program.blocks` with registers renumbered to slots.
+    allocated: Vec<BasicBlock>,
+    slots: u16,
+}
+
+// Recording workers in `owl-core` borrow kernels across threads.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<KernelProgram>();
+    assert_send_sync::<Kernel>();
 };
+
+impl Kernel {
+    /// Validates `program` and allocates its registers.
+    ///
+    /// # Errors
+    ///
+    /// The first [`ProgramError`] [`KernelProgram::validate`] finds.
+    pub fn new(program: KernelProgram) -> Result<Kernel, ProgramError> {
+        program.validate()?;
+        let (allocated, slots) = crate::lowered::allocate(&program);
+        Ok(Kernel {
+            program,
+            allocated,
+            slots,
+        })
+    }
+
+    /// Registers per lane the warp interpreter allocates: at most
+    /// [`KernelProgram::num_regs`].
+    pub fn slots(&self) -> u16 {
+        self.slots
+    }
+
+    /// The program's blocks with registers renumbered to slots: what the
+    /// warp interpreter executes.
+    pub(crate) fn allocated(&self) -> &[BasicBlock] {
+        &self.allocated
+    }
+}
+
+impl std::ops::Deref for Kernel {
+    type Target = KernelProgram;
+
+    fn deref(&self) -> &KernelProgram {
+        &self.program
+    }
+}
 
 /// Errors detected while validating a [`KernelProgram`].
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -18,23 +18,27 @@
 //! The explicit stack lets a warp *pause* at a block-wide barrier and be
 //! resumed by the engine once all warps of the CTA arrive.
 //!
-//! Instructions execute whole-warp. The register file is register-major
-//! (register `r` of lane `l` lives at `regs[r * warp_size + l]`), and each
-//! predicate register is one lane mask. An ALU-class instruction matches
-//! its opcode once, evaluates one loop over every lane into a stack row,
-//! and writes back the active lanes. Inactive lanes are evaluated too, so
-//! every ALU function is total; only an *active* lane's zero divisor is an
-//! error. Memory instructions visit the active lanes in lane order.
+//! Instructions execute whole-warp, from the kernel's register-allocated
+//! blocks (see [`Kernel`]), so the register file has [`Kernel::slots`]
+//! rows. It is register-major (slot `r` of lane `l` lives at
+//! `regs[r * warp_size + l]`), and each predicate register is one lane
+//! mask. An ALU-class instruction matches its opcode once, evaluates one
+//! loop over every lane into a stack row, and writes back the active
+//! lanes. Inactive lanes are evaluated too, so every ALU function is
+//! total; only an *active* lane's zero divisor is an error. Memory
+//! instructions visit the active lanes in lane order.
 
 use crate::cancel::CancelToken;
 use crate::error::ExecError;
 use crate::exec::CANCEL_CHECK_STRIDE;
 use crate::grid::{Dim3, MAX_WARP_SIZE};
 use crate::hook::{AccessKind, KernelHook, MemEventBatch, WarpRef};
-use crate::isa::{AtomicOp, BinOp, CmpOp, MemSpace, Pred, ShflMode, UnOp, CANONICAL_NAN};
-use crate::lowered::{LInst, LOp, LOperand, LoweredProgram, NO_GUARD};
+use crate::isa::{
+    AtomicOp, BinOp, CmpOp, Inst, InstOp, MemSpace, Operand, Pred, Reg, ShflMode, UnOp,
+    CANONICAL_NAN,
+};
 use crate::mem::{DeviceMemory, LinearMemory};
-use crate::program::{BlockId, KernelProgram, Region, Stmt};
+use crate::program::{BlockId, Kernel, Region, Stmt};
 use owl_metrics::SimCounters;
 
 /// An activity mask wide enough for any supported warp (up to 64 lanes).
@@ -128,17 +132,10 @@ enum Action<'p> {
     },
 }
 
-/// Per-lane coordinates, fixed at warp creation.
-#[derive(Debug, Clone, Copy, Default)]
-struct LaneInfo {
-    tid: (u32, u32, u32),
-    valid: bool,
-}
-
 /// One warp's execution state.
 pub(crate) struct WarpExec<'p> {
-    /// Pre-decoded instruction tables, built once per launch.
-    lowered: &'p LoweredProgram,
+    /// The kernel, whose allocated blocks the warp executes.
+    kernel: &'p Kernel,
     warp_ref: WarpRef,
     frames: Vec<Frame<'p>>,
     /// Initial activity mask (lanes that map to real threads).
@@ -148,12 +145,11 @@ pub(crate) struct WarpExec<'p> {
     full_mask: Mask,
     /// Lanes per warp, the length of one register row.
     warp_size: usize,
-    /// Register-major file: register `r` is the row
+    /// Register-major file: slot `r` is the row
     /// `regs[r * warp_size..(r + 1) * warp_size]`.
     regs: Vec<u64>,
     /// One lane mask per predicate register.
     preds: Vec<Mask>,
-    lanes: Vec<LaneInfo>,
     /// Per-lane private (local) memory, allocated only when the kernel
     /// declares local bytes.
     local: Vec<LinearMemory>,
@@ -169,8 +165,7 @@ impl<'p> WarpExec<'p> {
     /// Creates the warp covering threads `[warp_in_block*32, ...+31]` of the
     /// given CTA. Lanes beyond the block size start inactive.
     pub fn new(
-        program: &'p KernelProgram,
-        lowered: &'p LoweredProgram,
+        kernel: &'p Kernel,
         grid: Dim3,
         block: Dim3,
         cta_linear: u32,
@@ -179,22 +174,17 @@ impl<'p> WarpExec<'p> {
     ) -> Self {
         debug_assert!((1..=crate::grid::MAX_WARP_SIZE).contains(&warp_size));
         let block_threads = block.total();
-        let mut lanes = vec![LaneInfo::default(); warp_size as usize];
         let mut init_mask: Mask = 0;
         for lane in 0..warp_size {
             let tid_linear = u64::from(warp_in_block) * u64::from(warp_size) + u64::from(lane);
             if tid_linear < block_threads {
-                lanes[lane as usize] = LaneInfo {
-                    tid: block.unlinearize(tid_linear),
-                    valid: true,
-                };
                 init_mask |= 1 << lane;
             }
         }
         let n_lanes = warp_size as usize;
-        let local = if program.local_mem_bytes > 0 {
+        let local = if kernel.local_mem_bytes > 0 {
             (0..n_lanes)
-                .map(|_| LinearMemory::new(program.local_mem_bytes as usize))
+                .map(|_| LinearMemory::new(kernel.local_mem_bytes as usize))
                 .collect()
         } else {
             Vec::new()
@@ -202,14 +192,14 @@ impl<'p> WarpExec<'p> {
         let mut frames = Vec::with_capacity(8);
         frames.push(Frame {
             kind: FrameKind::Seq {
-                items: &program.body.0,
+                items: &kernel.body.0,
                 idx: 0,
             },
             mask: init_mask,
             rejoin: false,
         });
         WarpExec {
-            lowered,
+            kernel,
             warp_ref: WarpRef {
                 cta: cta_linear,
                 warp: warp_in_block,
@@ -218,9 +208,8 @@ impl<'p> WarpExec<'p> {
             init_mask,
             full_mask: Mask::MAX >> (Mask::BITS - warp_size),
             warp_size: n_lanes,
-            regs: vec![0; usize::from(program.num_regs) * n_lanes],
-            preds: vec![0; usize::from(program.num_preds)],
-            lanes,
+            regs: vec![0; usize::from(kernel.slots()) * n_lanes],
+            preds: vec![0; usize::from(kernel.num_preds)],
             local,
             ctaid: grid.unlinearize(u64::from(cta_linear)),
             grid,
@@ -244,47 +233,47 @@ impl<'p> WarpExec<'p> {
 
     /// Register `r` across the warp.
     #[inline]
-    fn reg_row(&self, r: u16) -> &[u64] {
-        &self.regs[usize::from(r) * self.warp_size..][..self.warp_size]
+    fn reg_row(&self, r: Reg) -> &[u64] {
+        &self.regs[usize::from(r.0) * self.warp_size..][..self.warp_size]
     }
 
     #[inline]
-    fn set_reg(&mut self, lane: usize, r: u16, v: u64) {
-        self.regs[usize::from(r) * self.warp_size + lane] = v;
+    fn set_reg(&mut self, lane: usize, r: Reg, v: u64) {
+        self.regs[usize::from(r.0) * self.warp_size + lane] = v;
     }
 
     /// An operand across the warp.
     #[inline]
-    fn row(&self, op: LOperand) -> Row<'_> {
+    fn row(&self, op: Operand) -> Row<'_> {
         match op {
-            LOperand::Reg(r) => Row::Lanes(self.reg_row(r)),
-            LOperand::Imm(v) => Row::Splat(v),
+            Operand::Reg(r) => Row::Lanes(self.reg_row(r)),
+            Operand::Imm(v) => Row::Splat(v),
         }
     }
 
     /// An operand's value in one lane.
     #[inline]
-    fn eval(&self, lane: usize, op: LOperand) -> u64 {
+    fn eval(&self, lane: usize, op: Operand) -> u64 {
         match op {
-            LOperand::Reg(r) => self.regs[usize::from(r) * self.warp_size + lane],
-            LOperand::Imm(v) => v,
+            Operand::Reg(r) => self.regs[usize::from(r.0) * self.warp_size + lane],
+            Operand::Imm(v) => v,
         }
     }
 
     /// Mask of lanes (within `mask`) where predicate `p` is true.
     #[inline]
-    fn pred_mask(&self, mask: Mask, p: u16) -> Mask {
-        mask & self.preds[usize::from(p)]
+    fn pred_mask(&self, mask: Mask, p: Pred) -> Mask {
+        mask & self.preds[usize::from(p.0)]
     }
 
     /// Evaluates `f` over every lane into a stack row, then writes the
     /// row's `active` lanes to register `dst`.
     #[inline]
-    fn alu(&mut self, dst: u16, active: Mask, f: impl FnOnce(&Self, &mut [u64])) {
+    fn alu(&mut self, dst: Reg, active: Mask, f: impl FnOnce(&Self, &mut [u64])) {
         let mut buf = [0; MAX_LANES];
         let out = &mut buf[..self.warp_size];
         f(self, out);
-        let row = &mut self.regs[usize::from(dst) * self.warp_size..][..self.warp_size];
+        let row = &mut self.regs[usize::from(dst.0) * self.warp_size..][..self.warp_size];
         if active == self.full_mask {
             row.copy_from_slice(out);
         } else {
@@ -353,7 +342,7 @@ impl<'p> WarpExec<'p> {
                         else_region,
                     } => {
                         env.counters.branches += 1;
-                        let m_then = self.pred_mask(mask, pred.0);
+                        let m_then = self.pred_mask(mask, *pred);
                         let m_else = mask & !m_then;
                         // A divergence event: the branch splits the active
                         // mask into two non-empty paths. The frame that pops
@@ -432,7 +421,7 @@ impl<'p> WarpExec<'p> {
                 } => {
                     self.exec_block(cond_block, active, env)?;
                     env.counters.branches += 1;
-                    let still = self.pred_mask(active, pred.0);
+                    let still = self.pred_mask(active, pred);
                     let Some(Frame {
                         kind:
                             FrameKind::Loop {
@@ -513,7 +502,7 @@ impl<'p> WarpExec<'p> {
             *env.cancel_countdown -= 1;
         }
         env.hook.bb_entry(self.warp_ref, id);
-        let block = &self.lowered.blocks[id.0 as usize];
+        let block = &self.kernel.allocated()[id.0 as usize];
         let n = block.insts.len() as u64;
         // Charge fuel and the instruction counter for every instruction
         // the budget covers up front, keeping the per-instruction loop free
@@ -540,19 +529,21 @@ impl<'p> WarpExec<'p> {
         result
     }
 
-    fn guard_mask(&self, mask: Mask, inst: &LInst) -> Mask {
-        if inst.guard_pred == NO_GUARD {
-            return mask;
+    fn guard_mask(&self, mask: Mask, inst: &Inst) -> Mask {
+        match inst.guard {
+            None => mask,
+            Some(g) => {
+                let p = self.preds[usize::from(g.pred.0)];
+                mask & if g.expected { p } else { !p }
+            }
         }
-        let p = self.preds[usize::from(inst.guard_pred)];
-        mask & if inst.guard_expected { p } else { !p }
     }
 
     fn exec_inst(
         &mut self,
         bb: BlockId,
         inst_idx: u32,
-        inst: &LInst,
+        inst: &Inst,
         mask: Mask,
         env: &mut ExecEnv<'_>,
     ) -> Result<(), ExecError> {
@@ -561,10 +552,10 @@ impl<'p> WarpExec<'p> {
             return Ok(());
         }
         match inst.op {
-            LOp::Mov { dst, src } => {
+            InstOp::Mov { dst, src } => {
                 self.alu(dst, active, |w, out| map1(out, w.row(src), |x| x));
             }
-            LOp::Bin { op, dst, a, b } => {
+            InstOp::Bin { op, dst, a, b } => {
                 if divides_by_zero(op, self.row(b), active) {
                     return Err(ExecError::DivisionByZero {
                         bb,
@@ -574,26 +565,27 @@ impl<'p> WarpExec<'p> {
                 }
                 self.alu(dst, active, |w, out| eval_bin(op, w.row(a), w.row(b), out));
             }
-            LOp::Un { op, dst, a } => {
+            InstOp::Un { op, dst, a } => {
                 self.alu(dst, active, |w, out| eval_un(op, w.row(a), out));
             }
-            LOp::SetP { pred, op, a, b } => {
+            InstOp::SetP { pred, op, a, b } => {
                 let mut buf = [0; MAX_LANES];
                 let bits = eval_cmp(op, self.row(a), self.row(b), &mut buf[..self.warp_size]);
                 // Inactive lanes keep their predicate bits.
-                let p = &mut self.preds[usize::from(pred)];
+                let p = &mut self.preds[usize::from(pred.0)];
                 *p = (*p & !active) | (bits & active);
             }
-            LOp::Sel { dst, pred, a, b } => {
-                let p = self.preds[usize::from(pred)];
+            InstOp::Sel { dst, pred, a, b } => {
+                let p = self.preds[usize::from(pred.0)];
                 self.alu(dst, active, |w, out| select(p, w.row(a), w.row(b), out));
             }
-            LOp::Ld {
+            InstOp::Ld {
                 dst,
                 space,
                 addr,
                 width,
             } => {
+                let width = width.bytes();
                 env.batch.begin_event(bb, inst_idx, space, AccessKind::Read);
                 for lane in lanes(active) {
                     let a = self.eval(lane, addr);
@@ -614,12 +606,13 @@ impl<'p> WarpExec<'p> {
                 }
                 env.batch.finish_event(env.counters);
             }
-            LOp::St {
+            InstOp::St {
                 space,
                 addr,
                 value,
                 width,
             } => {
+                let width = width.bytes();
                 env.batch
                     .begin_event(bb, inst_idx, space, AccessKind::Write);
                 for lane in lanes(active) {
@@ -639,7 +632,7 @@ impl<'p> WarpExec<'p> {
                 }
                 env.batch.finish_event(env.counters);
             }
-            LOp::LdParam { dst, index } => {
+            InstOp::LdParam { dst, index } => {
                 let v = *env
                     .args
                     .get(usize::from(index))
@@ -649,21 +642,22 @@ impl<'p> WarpExec<'p> {
                     })?;
                 self.alu(dst, active, |_, out| out.fill(v));
             }
-            LOp::Special { dst, sr } => {
+            InstOp::Special { dst, sr } => {
                 for lane in lanes(active) {
                     let v = self.special(lane, sr);
                     self.set_reg(lane, dst, v);
                 }
             }
-            LOp::Atomic {
+            InstOp::Atomic {
                 op,
                 dst,
                 space,
                 addr,
                 value,
                 width,
-                value_mask,
             } => {
+                let width = width.bytes();
+                let value_mask = u64::MAX >> (64 - 8 * width);
                 env.batch
                     .begin_event(bb, inst_idx, space, AccessKind::Atomic);
                 // Lanes serialise in lane order — a deterministic pick of
@@ -705,7 +699,7 @@ impl<'p> WarpExec<'p> {
                 }
                 env.batch.finish_event(env.counters);
             }
-            LOp::Shfl {
+            InstOp::Shfl {
                 mode,
                 dst,
                 src,
@@ -731,11 +725,11 @@ impl<'p> WarpExec<'p> {
                     }
                 });
             }
-            LOp::Ballot { dst, pred } => {
+            InstOp::Ballot { dst, pred } => {
                 let mask = self.pred_mask(active, pred);
                 self.alu(dst, active, |_, out| out.fill(mask));
             }
-            LOp::Tex { dst, slot, x, y } => {
+            InstOp::Tex { dst, slot, x, y } => {
                 let texture = env
                     .mem
                     .texture(slot)
@@ -801,12 +795,18 @@ impl<'p> WarpExec<'p> {
 
     fn special(&self, lane: usize, sr: crate::isa::SpecialReg) -> u64 {
         use crate::isa::SpecialReg::*;
-        let info = &self.lanes[lane];
-        debug_assert!(info.valid, "special register read in an invalid lane");
+        debug_assert!(
+            self.init_mask >> lane & 1 != 0,
+            "special register read in an invalid lane"
+        );
+        // The thread's linear index in its block; each coordinate is
+        // derived only when it is read.
+        let tid_linear = u64::from(self.warp_in_block) * self.warp_size as u64 + lane as u64;
+        let (x, y) = (u64::from(self.block.x), u64::from(self.block.y));
         match sr {
-            TidX => u64::from(info.tid.0),
-            TidY => u64::from(info.tid.1),
-            TidZ => u64::from(info.tid.2),
+            TidX => tid_linear % x,
+            TidY => tid_linear / x % y,
+            TidZ => tid_linear / (x * y),
             CtaidX => u64::from(self.ctaid.0),
             CtaidY => u64::from(self.ctaid.1),
             CtaidZ => u64::from(self.ctaid.2),
@@ -818,12 +818,7 @@ impl<'p> WarpExec<'p> {
             NCtaidZ => u64::from(self.grid.z),
             LaneId => lane as u64,
             WarpId => u64::from(self.warp_in_block),
-            GlobalTid => {
-                let tid_linear = u64::from(info.tid.0)
-                    + u64::from(info.tid.1) * u64::from(self.block.x)
-                    + u64::from(info.tid.2) * u64::from(self.block.x) * u64::from(self.block.y);
-                u64::from(self.cta_linear) * self.block.total() + tid_linear
-            }
+            GlobalTid => u64::from(self.cta_linear) * self.block.total() + tid_linear,
         }
     }
 }

@@ -43,6 +43,46 @@ fn two_dimensional_block_coordinates() {
 }
 
 #[test]
+fn three_dimensional_block_coordinates_on_both_interpreters() {
+    // 4x3x5 block in a grid of 2: out[global] = x | y << 8 | z << 16.
+    use owl_gpu::exec::{launch_with_options, Interpreter, LaunchOptions};
+    let b = KernelBuilder::new("coords3d");
+    let out = b.param(0);
+    let x = b.special(SpecialReg::TidX);
+    let y = b.special(SpecialReg::TidY);
+    let z = b.special(SpecialReg::TidZ);
+    let global = b.special(SpecialReg::GlobalTid);
+    let packed = b.or(b.or(x, b.shl(y, 8u64)), b.shl(z, 16u64));
+    b.store_global(b.add(out, b.mul(global, 8u64)), packed, MemWidth::B8);
+    let k = b.finish();
+    for interpreter in [Interpreter::Lowered, Interpreter::Oracle] {
+        let mut mem = DeviceMemory::new();
+        let (_, o) = mem.alloc(8 * 120);
+        launch_with_options(
+            &mut mem,
+            &k,
+            LaunchConfig::new(2u32, (4u32, 3u32, 5u32)),
+            &[o],
+            &mut NullHook,
+            LaunchOptions {
+                interpreter,
+                ..LaunchOptions::default()
+            },
+        )
+        .unwrap();
+        for t in 0..120u64 {
+            let local = t % 60;
+            let expect = (local % 4) | ((local / 4 % 3) << 8) | ((local / 12) << 16);
+            assert_eq!(
+                mem.load(o + 8 * t, 8).unwrap(),
+                expect,
+                "{interpreter:?} thread {t}"
+            );
+        }
+    }
+}
+
+#[test]
 fn three_dimensional_grid_coordinates() {
     // 2x2x2 grid of single-thread blocks; each writes its (bx,by,bz).
     let b = KernelBuilder::new("grid3d");
@@ -315,7 +355,9 @@ fn unbound_texture_slot_faults() {
 #[test]
 fn plain_loads_on_texture_space_rejected_at_validation() {
     use owl_gpu::isa::{Inst, InstOp, MemSpace, Operand, Reg};
-    use owl_gpu::program::{BasicBlock, BlockId, KernelProgram, ProgramError, Region, Stmt};
+    use owl_gpu::program::{
+        BasicBlock, BlockId, Kernel, KernelProgram, ProgramError, Region, Stmt,
+    };
     let k = KernelProgram {
         name: "bad".into(),
         blocks: vec![BasicBlock {
@@ -333,6 +375,10 @@ fn plain_loads_on_texture_space_rejected_at_validation() {
         local_mem_bytes: 0,
     };
     assert_eq!(k.validate(), Err(ProgramError::LdStOnTextureSpace));
+    assert_eq!(
+        Kernel::new(k).unwrap_err(),
+        ProgramError::LdStOnTextureSpace
+    );
 }
 
 #[test]

@@ -16,7 +16,7 @@ fn arithmetic_kernel(
     xor_mask: u64,
     pivot: u64,
     rounds: u64,
-) -> owl_gpu::KernelProgram {
+) -> owl_gpu::Kernel {
     let b = KernelBuilder::new("arith");
     let inp = b.param(0);
     let out = b.param(1);
@@ -57,7 +57,7 @@ fn arithmetic_reference(x: u64, mul: u64, add: u64, xor_mask: u64, pivot: u64, r
 }
 
 fn run_kernel(
-    kernel: &owl_gpu::KernelProgram,
+    kernel: &owl_gpu::Kernel,
     inputs: &[u64],
     hook: &mut dyn owl_gpu::KernelHook,
 ) -> Vec<u64> {

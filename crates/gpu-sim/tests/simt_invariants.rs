@@ -17,7 +17,7 @@ use owl_gpu::isa::{
     AtomicOp, BinOp, CmpOp, Inst, InstOp, MemSpace, MemWidth, Operand, Pred, Reg, SpecialReg,
 };
 use owl_gpu::mem::DeviceMemory;
-use owl_gpu::program::{BasicBlock, BlockId, Stmt};
+use owl_gpu::program::{BasicBlock, BlockId, Kernel, Stmt};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -123,9 +123,10 @@ fn run_probed(
     mem.write_bytes(probe_base, &vec![0u8; probe_bytes])
         .expect("probe buffer zero-fill");
     args.push(probe_base);
+    let launchable = Kernel::new(kernel.program.clone()).expect("probed programs validate");
     let stats = launch_with_options(
         &mut mem,
-        &kernel.program,
+        &launchable,
         kernel.config,
         &args,
         &mut NullHook,

@@ -21,7 +21,7 @@ fn options(warp_size: u32) -> LaunchOptions {
 
 /// out[i] = (in[i] * 3) with a divergent halving loop — exercises masks,
 /// divergence, and reconvergence at every width.
-fn divergent_kernel() -> owl_gpu::KernelProgram {
+fn divergent_kernel() -> owl_gpu::Kernel {
     let b = KernelBuilder::new("divergent");
     let inp = b.param(0);
     let out = b.param(1);

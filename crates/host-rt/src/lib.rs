@@ -50,7 +50,7 @@ use owl_gpu::exec::{launch_with_options, LaunchOptions, LaunchStats};
 use owl_gpu::grid::LaunchConfig;
 use owl_gpu::hook::{KernelHook, NullHook};
 use owl_gpu::mem::{AccessError, AllocId, DeviceMemory};
-use owl_gpu::program::KernelProgram;
+use owl_gpu::program::Kernel;
 use owl_gpu::ExecError;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -345,19 +345,19 @@ impl Device {
     ///
     /// # Errors
     ///
-    /// Returns [`HostError::Launch`] when the kernel faults or fails
-    /// validation.
+    /// Returns [`HostError::Launch`] when the launch fails; the kernel
+    /// itself was validated when it was built.
     #[track_caller]
     pub fn launch(
         &mut self,
-        program: &KernelProgram,
+        kernel: &Kernel,
         config: LaunchConfig,
         args: &[u64],
     ) -> Result<LaunchStats, HostError> {
         let call_site = CallSite::here(Location::caller());
         self.events.push(HostEvent::Launch {
             call_site,
-            kernel: program.name.clone(),
+            kernel: kernel.name.clone(),
             config,
         });
         let stats = match &self.hook {
@@ -366,7 +366,7 @@ impl Device {
                 let mut hook = hook.borrow_mut();
                 launch_with_options(
                     &mut self.mem,
-                    program,
+                    kernel,
                     config,
                     args,
                     &mut *hook,
@@ -375,7 +375,7 @@ impl Device {
             }
             None => launch_with_options(
                 &mut self.mem,
-                program,
+                kernel,
                 config,
                 args,
                 &mut NullHook,
@@ -418,7 +418,7 @@ mod tests {
     use owl_gpu::hook::RecordingHook;
     use owl_gpu::isa::{MemWidth, SpecialReg};
 
-    fn square_kernel() -> KernelProgram {
+    fn square_kernel() -> Kernel {
         let b = KernelBuilder::new("square");
         let buf = b.param(0);
         let tid = b.special(SpecialReg::GlobalTid);

@@ -7,7 +7,7 @@ use owl_core::TracedProgram;
 use owl_gpu::build::{KernelBuilder, Val};
 use owl_gpu::grid::LaunchConfig;
 use owl_gpu::isa::{CmpOp, MemWidth, SpecialReg};
-use owl_gpu::KernelProgram;
+use owl_gpu::Kernel;
 use owl_host::{Device, HostError};
 
 /// Byte offsets of the lookup tables within the tables allocation:
@@ -18,7 +18,7 @@ const TABLES_BYTES: usize = 5120;
 
 /// How a round lookup reads the tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LookupStyle {
+pub(crate) enum LookupStyle {
     /// Direct indexed load — address depends on the secret (leaky).
     Indexed,
     /// Scan the whole table and select — address trace is constant.
@@ -54,7 +54,7 @@ fn emit_lookup(
 /// Builds the AES-128 encryption kernel. One thread encrypts one 16-byte
 /// block; the round keys are shared (the secret key is uniform across the
 /// warp, as in Libgpucrypto).
-fn build_kernel(name: &str, style: LookupStyle, rounds: u32) -> KernelProgram {
+pub(crate) fn build_kernel(name: &str, style: LookupStyle, rounds: u32) -> Kernel {
     assert!((1..=10).contains(&rounds), "AES-128 has 1..=10 rounds");
     let b = KernelBuilder::new(name);
     let tables = b.param(0);
@@ -136,7 +136,7 @@ fn tables_bytes() -> &'static [u8] {
 /// Shared host-side driver for both variants.
 #[derive(Debug, Clone)]
 struct AesWorkload {
-    kernel: KernelProgram,
+    kernel: Kernel,
     /// Fixed public plaintext, `blocks * 16` bytes.
     plaintext: Vec<u8>,
     blocks: u32,

@@ -6,7 +6,7 @@
 //! reads every table entry on every lookup, serving as Owl's negative
 //! control.
 
-mod gpu;
+pub(crate) mod gpu;
 pub mod tables;
 
 pub use gpu::{AesScan, AesTTable};

@@ -17,13 +17,13 @@ use owl_core::TracedProgram;
 use owl_gpu::build::KernelBuilder;
 use owl_gpu::grid::LaunchConfig;
 use owl_gpu::isa::{CmpOp, MemWidth, SpecialReg};
-use owl_gpu::KernelProgram;
+use owl_gpu::Kernel;
 use owl_host::{Device, HostError};
 
 /// Table elements (a power of two; 4 warps of threads).
 pub const N: usize = 128;
 
-fn build_kernel() -> KernelProgram {
+fn build_kernel() -> Kernel {
     let b = KernelBuilder::new("strided_gather");
     let table = b.param(0);
     let out = b.param(1);
@@ -46,7 +46,7 @@ fn build_kernel() -> KernelProgram {
 /// The strided-gather workload; the secret is the (odd) stride.
 #[derive(Debug, Clone)]
 pub struct CoalescingStride {
-    kernel: KernelProgram,
+    kernel: Kernel,
 }
 
 impl CoalescingStride {

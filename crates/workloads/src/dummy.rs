@@ -23,13 +23,13 @@ use owl_core::{DetectError, RunSpec, TracedProgram};
 use owl_gpu::build::KernelBuilder;
 use owl_gpu::grid::LaunchConfig;
 use owl_gpu::isa::{CmpOp, MemWidth, SpecialReg};
-use owl_gpu::KernelProgram;
+use owl_gpu::Kernel;
 use owl_host::{Device, HostError};
 
 /// Entries in the S-box-like table.
 pub const TABLE_ENTRIES: usize = 256;
 
-fn build_sbox_kernel() -> KernelProgram {
+fn build_sbox_kernel() -> Kernel {
     let b = KernelBuilder::new("dummy_sbox");
     let data = b.param(0);
     let table = b.param(1);
@@ -45,7 +45,7 @@ fn build_sbox_kernel() -> KernelProgram {
     b.finish()
 }
 
-fn build_hash_sbox_kernel() -> KernelProgram {
+fn build_hash_sbox_kernel() -> Kernel {
     let b = KernelBuilder::new("dummy_sbox");
     let secret = b.param(0);
     let table = b.param(1);
@@ -71,7 +71,7 @@ fn build_hash_sbox_kernel() -> KernelProgram {
 /// with the thread count scaling with the input size.
 #[derive(Debug, Clone)]
 pub struct DummySbox {
-    kernel: KernelProgram,
+    kernel: Kernel,
     elems: usize,
 }
 
@@ -133,7 +133,7 @@ impl TracedProgram for DummySbox {
 /// differences to noise.
 #[derive(Debug)]
 pub struct NoiseDummy {
-    kernel: KernelProgram,
+    kernel: Kernel,
 }
 
 impl NoiseDummy {
@@ -205,7 +205,7 @@ impl TracedProgram for NoiseDummy {
     }
 }
 
-fn build_spin_kernel() -> KernelProgram {
+fn build_spin_kernel() -> Kernel {
     let b = KernelBuilder::new("runaway_spin");
     let one = b.mov(1u64);
     b.while_loop(
@@ -223,7 +223,7 @@ fn build_spin_kernel() -> KernelProgram {
 /// find; every run exhausts its instruction budget and is quarantined.
 #[derive(Debug, Clone)]
 pub struct RunawaySpin {
-    kernel: KernelProgram,
+    kernel: Kernel,
 }
 
 impl RunawaySpin {

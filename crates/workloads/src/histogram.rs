@@ -13,13 +13,13 @@ use owl_core::TracedProgram;
 use owl_gpu::build::KernelBuilder;
 use owl_gpu::grid::LaunchConfig;
 use owl_gpu::isa::{CmpOp, MemWidth, SpecialReg};
-use owl_gpu::KernelProgram;
+use owl_gpu::Kernel;
 use owl_host::{Device, HostError};
 
 /// Number of histogram bins.
 pub const BINS: usize = 16;
 
-fn build_direct_kernel() -> KernelProgram {
+fn build_direct_kernel() -> Kernel {
     let b = KernelBuilder::new("histogram_direct");
     let data = b.param(0);
     let bins = b.param(1);
@@ -35,7 +35,7 @@ fn build_direct_kernel() -> KernelProgram {
     b.finish()
 }
 
-fn build_oblivious_kernel() -> KernelProgram {
+fn build_oblivious_kernel() -> Kernel {
     let b = KernelBuilder::new("histogram_oblivious");
     let data = b.param(0);
     let bins = b.param(1);
@@ -59,7 +59,7 @@ fn build_oblivious_kernel() -> KernelProgram {
 /// Shared host driver.
 #[derive(Debug, Clone)]
 struct HistogramWorkload {
-    kernel: KernelProgram,
+    kernel: Kernel,
     elems: usize,
 }
 

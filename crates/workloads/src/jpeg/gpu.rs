@@ -13,7 +13,7 @@ use owl_core::TracedProgram;
 use owl_gpu::build::{KernelBuilder, Val};
 use owl_gpu::grid::LaunchConfig;
 use owl_gpu::isa::{CmpOp, MemWidth, SpecialReg};
-use owl_gpu::KernelProgram;
+use owl_gpu::Kernel;
 use owl_host::{Device, DevicePtr, HostError};
 use rand::Rng;
 
@@ -32,7 +32,7 @@ fn sext32(b: &KernelBuilder, v: Val) -> Val {
 
 /// Forward DCT + quantisation kernel: one thread per 8×8 block, separable
 /// passes unrolled at build time, constant control flow.
-fn build_dct_quant(w: u64) -> KernelProgram {
+pub(crate) fn build_dct_quant(w: u64) -> Kernel {
     let basis = dct_basis();
     let b = KernelBuilder::new("jpeg_dct_quant");
     let img = b.param(0);
@@ -91,7 +91,7 @@ fn build_dct_quant(w: u64) -> KernelProgram {
 /// The entropy stage: zig-zag scan (order from constant memory), zero-run
 /// counting, magnitude-category loop, and packed `(run, size) | value`
 /// emission at count-dependent offsets. One thread per block.
-fn build_zigzag_rle() -> KernelProgram {
+pub(crate) fn build_zigzag_rle() -> Kernel {
     let b = KernelBuilder::new("jpeg_zigzag_rle");
     let coeffs = b.param(0);
     let out = b.param(1);
@@ -149,7 +149,7 @@ fn build_zigzag_rle() -> KernelProgram {
 /// coding. Every coefficient is emitted at its fixed zig-zag slot with no
 /// run-length compression and no magnitude loop — constant control flow
 /// and constant addresses, at the price of a fixed-maximum output size.
-fn build_fixed_length_rle() -> KernelProgram {
+fn build_fixed_length_rle() -> Kernel {
     let b = KernelBuilder::new("jpeg_fixed_length");
     let coeffs = b.param(0);
     let out = b.param(1);
@@ -176,7 +176,7 @@ fn build_fixed_length_rle() -> KernelProgram {
 /// Dequantisation + inverse DCT kernel: one thread per block, constant
 /// control flow, clamped `u8` output.
 #[allow(clippy::needless_range_loop)]
-fn build_dequant_idct(w: u64) -> KernelProgram {
+fn build_dequant_idct(w: u64) -> Kernel {
     let basis = dct_basis();
     let b = KernelBuilder::new("jpeg_dequant_idct");
     let coeffs = b.param(0);
@@ -241,8 +241,8 @@ fn zigzag_bytes() -> Vec<u8> {
 /// entropy stage. The secret input is the image.
 #[derive(Debug, Clone)]
 pub struct JpegEncode {
-    dct: KernelProgram,
-    rle: KernelProgram,
+    dct: Kernel,
+    rle: Kernel,
     h: usize,
     w: usize,
 }
@@ -333,8 +333,8 @@ impl TracedProgram for JpegEncode {
 /// entropy stage.
 #[derive(Debug, Clone)]
 pub struct JpegEncodeFixedLength {
-    dct: KernelProgram,
-    fixed: KernelProgram,
+    dct: Kernel,
+    fixed: Kernel,
     h: usize,
     w: usize,
 }
@@ -419,7 +419,7 @@ impl TracedProgram for JpegEncodeFixedLength {
 /// coefficient layout. The secret input is the coefficient array.
 #[derive(Debug, Clone)]
 pub struct JpegDecode {
-    kernel: KernelProgram,
+    kernel: Kernel,
     h: usize,
     w: usize,
 }

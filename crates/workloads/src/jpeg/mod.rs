@@ -5,7 +5,7 @@
 //! depend on the image — the leak surface the paper reports for nvJPEG
 //! encoding. [`JpegDecode`] is the constant-flow dequantise + IDCT path.
 
-mod gpu;
+pub(crate) mod gpu;
 pub mod host;
 
 pub use gpu::{JpegDecode, JpegEncode, JpegEncodeFixedLength};

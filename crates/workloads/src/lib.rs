@@ -25,3 +25,37 @@ pub mod rsa;
 pub mod search;
 pub mod torch;
 pub mod util;
+
+#[cfg(test)]
+mod tests {
+    /// The register files of the kernels the repository benchmark runs:
+    /// `(name, registers as written, slots the warp interpreter allocates
+    /// per lane)`. An allocator change that brings back one register per
+    /// value (3,083 for the unrolled DCT) fails here.
+    #[test]
+    fn benchmark_kernels_keep_small_register_files() {
+        let kernels = [
+            crate::jpeg::gpu::build_dct_quant(64),
+            crate::jpeg::gpu::build_zigzag_rle(),
+            crate::aes::gpu::build_kernel(
+                "aes128_ttable",
+                crate::aes::gpu::LookupStyle::Indexed,
+                10,
+            ),
+            crate::torch::kernels::layer_norm(),
+        ];
+        let sizes: Vec<_> = kernels
+            .iter()
+            .map(|k| (k.name.as_str(), k.num_regs, k.slots()))
+            .collect();
+        assert_eq!(
+            sizes,
+            [
+                ("jpeg_dct_quant", 3083, 77),
+                ("jpeg_zigzag_rle", 36, 16),
+                ("aes128_ttable", 1166, 17),
+                ("layer_norm_kernel", 35, 14),
+            ]
+        );
+    }
+}

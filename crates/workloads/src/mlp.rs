@@ -14,7 +14,7 @@ use owl_core::TracedProgram;
 use owl_gpu::build::KernelBuilder;
 use owl_gpu::grid::LaunchConfig;
 use owl_gpu::isa::{CmpOp, MemWidth, SpecialReg};
-use owl_gpu::KernelProgram;
+use owl_gpu::Kernel;
 use owl_host::{Device, HostError};
 
 /// Input feature count (public).
@@ -26,7 +26,7 @@ pub const OUTPUT_DIM: usize = 8;
 pub const WIDTHS: [usize; 4] = [32, 64, 96, 128];
 
 /// `out[r] = relu(Σ_j w[r·in + j] · x[j])` — a fused linear+ReLU layer.
-fn build_layer_kernel() -> KernelProgram {
+fn build_layer_kernel() -> Kernel {
     let b = KernelBuilder::new("mlp_linear_relu");
     let x = b.param(0);
     let w = b.param(1);
@@ -53,7 +53,7 @@ fn build_layer_kernel() -> KernelProgram {
 /// A two-layer MLP whose hidden width is the secret.
 #[derive(Debug, Clone)]
 pub struct MlpHiddenWidth {
-    layer: KernelProgram,
+    layer: Kernel,
     /// Fixed public input activations.
     input: Vec<f32>,
 }

@@ -12,7 +12,7 @@ use owl_core::TracedProgram;
 use owl_gpu::build::KernelBuilder;
 use owl_gpu::grid::LaunchConfig;
 use owl_gpu::isa::{CmpOp, MemWidth, SpecialReg};
-use owl_gpu::KernelProgram;
+use owl_gpu::Kernel;
 use owl_host::{Device, HostError};
 use rand::Rng;
 
@@ -40,7 +40,7 @@ pub fn font_atlas() -> Vec<u8> {
     atlas
 }
 
-fn build_blit_kernel() -> KernelProgram {
+fn build_blit_kernel() -> Kernel {
     let b = KernelBuilder::new("glyph_blit");
     let text = b.param(0);
     let fb = b.param(1);
@@ -66,7 +66,7 @@ fn build_blit_kernel() -> KernelProgram {
 /// The glyph-blit workload; the secret is the rendered text.
 #[derive(Debug, Clone)]
 pub struct GlyphRender {
-    kernel: KernelProgram,
+    kernel: Kernel,
     atlas: Vec<u8>,
 }
 

@@ -18,7 +18,7 @@ use owl_core::TracedProgram;
 use owl_gpu::build::KernelBuilder;
 use owl_gpu::grid::LaunchConfig;
 use owl_gpu::isa::{CmpOp, MemWidth, SpecialReg};
-use owl_gpu::KernelProgram;
+use owl_gpu::Kernel;
 use owl_host::{Device, HostError};
 use rand::Rng;
 
@@ -40,7 +40,7 @@ pub fn modpow(mut base: u64, mut exp: u64, n: u64) -> u64 {
 }
 
 /// Builds the leaky square-and-multiply kernel.
-fn build_sqm_kernel() -> KernelProgram {
+fn build_sqm_kernel() -> Kernel {
     let b = KernelBuilder::new("rsa_modexp_sqm");
     let msg = b.param(0);
     let out = b.param(1);
@@ -76,7 +76,7 @@ fn build_sqm_kernel() -> KernelProgram {
 
 /// Builds the constant-flow Montgomery-ladder kernel: fixed 32 iterations,
 /// branch-free selects.
-fn build_ladder_kernel() -> KernelProgram {
+fn build_ladder_kernel() -> Kernel {
     let b = KernelBuilder::new("rsa_modexp_ladder");
     let msg = b.param(0);
     let out = b.param(1);
@@ -110,13 +110,13 @@ fn build_ladder_kernel() -> KernelProgram {
 /// Shared host driver.
 #[derive(Debug, Clone)]
 struct RsaWorkload {
-    kernel: KernelProgram,
+    kernel: Kernel,
     /// Fixed public message bases, one per thread.
     messages: Vec<u64>,
 }
 
 impl RsaWorkload {
-    fn new(kernel: KernelProgram, threads: u32) -> Self {
+    fn new(kernel: Kernel, threads: u32) -> Self {
         let mut r = rng(0x45A);
         RsaWorkload {
             kernel,

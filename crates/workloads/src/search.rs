@@ -13,7 +13,7 @@ use owl_core::TracedProgram;
 use owl_gpu::build::KernelBuilder;
 use owl_gpu::grid::LaunchConfig;
 use owl_gpu::isa::{CmpOp, MemWidth, SpecialReg};
-use owl_gpu::KernelProgram;
+use owl_gpu::Kernel;
 use owl_host::{Device, HostError};
 use rand::Rng;
 
@@ -27,7 +27,7 @@ pub fn table() -> Vec<u64> {
 
 /// Early-exit binary search: `while lo < hi { probe mid; branch }` with a
 /// `found` short-circuit — leaks through both channels.
-fn build_early_exit_kernel() -> KernelProgram {
+fn build_early_exit_kernel() -> Kernel {
     let b = KernelBuilder::new("binary_search_early_exit");
     let tab = b.param(0);
     let key = b.param(1);
@@ -77,7 +77,7 @@ fn build_early_exit_kernel() -> KernelProgram {
 /// Fixed-depth branch-free search: exactly `log₂ n` probes, comparisons
 /// folded into selects. Control flow is constant; the probed *addresses*
 /// still follow the key.
-fn build_fixed_depth_kernel() -> KernelProgram {
+fn build_fixed_depth_kernel() -> Kernel {
     let b = KernelBuilder::new("binary_search_fixed_depth");
     let tab = b.param(0);
     let key = b.param(1);
@@ -114,7 +114,7 @@ pub fn reference_search(key: u64) -> Option<usize> {
 
 #[derive(Debug, Clone)]
 struct SearchWorkload {
-    kernel: KernelProgram,
+    kernel: Kernel,
     threads: u32,
 }
 

@@ -12,7 +12,7 @@ use super::tensor::Tensor;
 use crate::util::rng;
 use owl_core::TracedProgram;
 use owl_gpu::grid::LaunchConfig;
-use owl_gpu::KernelProgram;
+use owl_gpu::Kernel;
 use owl_host::{Device, DevicePtr, HostError};
 use rand::Rng;
 
@@ -149,7 +149,7 @@ pub enum TorchInput {
 #[derive(Debug, Clone)]
 pub struct TorchFunction {
     kind: TorchOpKind,
-    kernels: Vec<KernelProgram>,
+    kernels: Vec<Kernel>,
     /// Fixed public parameters (weights, targets, logits), op-specific.
     public: Vec<Tensor>,
 }
@@ -220,7 +220,7 @@ impl TorchFunction {
 
     /// The device kernels this op launches (for static analysis and
     /// inspection).
-    pub fn kernels(&self) -> &[KernelProgram] {
+    pub fn kernels(&self) -> &[Kernel] {
         &self.kernels
     }
 

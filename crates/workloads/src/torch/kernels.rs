@@ -9,14 +9,14 @@
 
 use owl_gpu::build::{KernelBuilder, Val};
 use owl_gpu::isa::{CmpOp, MemWidth, SpecialReg};
-use owl_gpu::KernelProgram;
+use owl_gpu::Kernel;
 
 fn f32x4(b: &KernelBuilder, base: Val, idx: impl Into<owl_gpu::isa::Operand>) -> Val {
     b.add(base, b.mul(idx, 4u64))
 }
 
 /// Elementwise unary op: `out[i] = f(x[i])` for `i < n`.
-fn unary(name: &str, f: impl Fn(&KernelBuilder, Val) -> Val) -> KernelProgram {
+fn unary(name: &str, f: impl Fn(&KernelBuilder, Val) -> Val) -> Kernel {
     let b = KernelBuilder::new(name);
     let x = b.param(0);
     let out = b.param(1);
@@ -32,12 +32,12 @@ fn unary(name: &str, f: impl Fn(&KernelBuilder, Val) -> Val) -> KernelProgram {
 }
 
 /// `relu(x) = max(x, 0)` — branch-free.
-pub fn relu() -> KernelProgram {
+pub fn relu() -> Kernel {
     unary("relu_kernel", |b, v| b.fmax(v, 0.0f32))
 }
 
 /// `sigmoid(x) = 1 / (1 + e^{-x})`.
-pub fn sigmoid() -> KernelProgram {
+pub fn sigmoid() -> Kernel {
     unary("sigmoid_kernel", |b, v| {
         let e = b.fexp(b.fneg(v));
         b.fdiv(1.0f32, b.fadd(1.0f32, e))
@@ -45,7 +45,7 @@ pub fn sigmoid() -> KernelProgram {
 }
 
 /// `tanh(x) = (e^{2x} − 1) / (e^{2x} + 1)`.
-pub fn tanh() -> KernelProgram {
+pub fn tanh() -> Kernel {
     unary("tanh_kernel", |b, v| {
         let e2 = b.fexp(b.fmul(v, 2.0f32));
         b.fdiv(b.fsub(e2, 1.0f32), b.fadd(e2, 1.0f32))
@@ -54,7 +54,7 @@ pub fn tanh() -> KernelProgram {
 
 /// Softmax pass 1: `tmp[i] = exp(x[i] − max(x))`, each thread scanning the
 /// whole vector for the max (constant flow).
-pub fn softmax_exp() -> KernelProgram {
+pub fn softmax_exp() -> Kernel {
     let b = KernelBuilder::new("softmax_exp_kernel");
     let x = b.param(0);
     let tmp = b.param(1);
@@ -76,7 +76,7 @@ pub fn softmax_exp() -> KernelProgram {
 }
 
 /// Softmax pass 2: `out[i] = tmp[i] / Σ tmp`.
-pub fn softmax_norm() -> KernelProgram {
+pub fn softmax_norm() -> Kernel {
     let b = KernelBuilder::new("softmax_norm_kernel");
     let tmp = b.param(0);
     let out = b.param(1);
@@ -98,7 +98,7 @@ pub fn softmax_norm() -> KernelProgram {
 
 /// 2×2/stride-2 pooling over an `h×w` image; one thread per output pixel.
 /// `max` selects max-pooling (via branch-free `FMax`), otherwise average.
-pub fn pool2d(h: u64, w: u64, max: bool) -> KernelProgram {
+pub fn pool2d(h: u64, w: u64, max: bool) -> Kernel {
     let name = if max {
         "max_pool2d_kernel"
     } else {
@@ -130,7 +130,7 @@ pub fn pool2d(h: u64, w: u64, max: bool) -> KernelProgram {
 
 /// Direct `k×k` valid convolution over an `h×w` image; one thread per
 /// output pixel; the kernel window is unrolled at build time.
-pub fn conv2d(h: u64, w: u64, k: u64) -> KernelProgram {
+pub fn conv2d(h: u64, w: u64, k: u64) -> Kernel {
     let b = KernelBuilder::new("conv2d_kernel");
     let x = b.param(0);
     let wts = b.param(1);
@@ -158,7 +158,7 @@ pub fn conv2d(h: u64, w: u64, k: u64) -> KernelProgram {
 
 /// `out = W·x + bias` with `W` of shape `(out_f, in_f)`; one thread per
 /// output feature, runtime loop over inputs.
-pub fn linear(in_f: u64, out_f: u64) -> KernelProgram {
+pub fn linear(in_f: u64, out_f: u64) -> Kernel {
     let b = KernelBuilder::new("linear_kernel");
     let x = b.param(0);
     let w = b.param(1);
@@ -182,7 +182,7 @@ pub fn linear(in_f: u64, out_f: u64) -> KernelProgram {
 }
 
 /// Elementwise squared error: `tmp[i] = (x[i] − y[i])²`.
-pub fn squared_error() -> KernelProgram {
+pub fn squared_error() -> Kernel {
     let b = KernelBuilder::new("squared_error_kernel");
     let x = b.param(0);
     let y = b.param(1);
@@ -201,7 +201,7 @@ pub fn squared_error() -> KernelProgram {
 
 /// Single-thread mean reduction: `out[0] = Σ tmp / n` (thread 0 only; the
 /// loop bound is the public size, so control flow is constant).
-pub fn mean_reduce() -> KernelProgram {
+pub fn mean_reduce() -> Kernel {
     let b = KernelBuilder::new("mean_reduce_kernel");
     let tmp = b.param(0);
     let out = b.param(1);
@@ -223,7 +223,7 @@ pub fn mean_reduce() -> KernelProgram {
 
 /// NLL loss gather: `out[i] = −logp[i·c + target[i]]` — the address of the
 /// gather is the secret label, the data-flow leak the losses exhibit.
-pub fn nll_gather(c: u64) -> KernelProgram {
+pub fn nll_gather(c: u64) -> Kernel {
     let b = KernelBuilder::new("nll_gather_kernel");
     let logp = b.param(0);
     let targets = b.param(1);
@@ -242,7 +242,7 @@ pub fn nll_gather(c: u64) -> KernelProgram {
 
 /// Fused cross-entropy: per-sample log-sum-exp plus a target-indexed
 /// gather: `out[i] = m + ln Σ e^{z−m} − z[target[i]]`.
-pub fn cross_entropy(c: u64) -> KernelProgram {
+pub fn cross_entropy(c: u64) -> Kernel {
     let b = KernelBuilder::new("cross_entropy_kernel");
     let logits = b.param(0);
     let targets = b.param(1);
@@ -276,7 +276,7 @@ pub fn cross_entropy(c: u64) -> KernelProgram {
 /// Embedding lookup: `out[i·d .. (i+1)·d] = table[ids[i]·d .. ]` — one
 /// thread per output element, the row index taken from the *secret* token
 /// id (the token-privacy leak of embedding layers).
-pub fn embedding(dim: u64) -> KernelProgram {
+pub fn embedding(dim: u64) -> Kernel {
     let b = KernelBuilder::new("embedding_kernel");
     let table = b.param(0);
     let ids = b.param(1);
@@ -296,7 +296,7 @@ pub fn embedding(dim: u64) -> KernelProgram {
 
 /// Layer normalisation over one vector: `out = (x − μ) / √(σ² + ε)`; each
 /// thread redundantly computes the moments (constant flow).
-pub fn layer_norm() -> KernelProgram {
+pub fn layer_norm() -> Kernel {
     let b = KernelBuilder::new("layer_norm_kernel");
     let x = b.param(0);
     let out = b.param(1);
@@ -329,7 +329,7 @@ pub fn layer_norm() -> KernelProgram {
 
 /// Thread-0 scan setting `flag[0] = 1` when any element is nonzero — the
 /// device half of `Tensor.__repr__`'s zero-tensor special case.
-pub fn any_nonzero() -> KernelProgram {
+pub fn any_nonzero() -> Kernel {
     let b = KernelBuilder::new("any_nonzero_kernel");
     let x = b.param(0);
     let flag = b.param(1);
@@ -351,7 +351,7 @@ pub fn any_nonzero() -> KernelProgram {
 
 /// Formatting kernel for nonzero tensors (`__repr__` fast path): copies
 /// absolute values into the text staging buffer.
-pub fn format_nonzero() -> KernelProgram {
+pub fn format_nonzero() -> Kernel {
     let b = KernelBuilder::new("format_nonzero_kernel");
     let x = b.param(0);
     let out = b.param(1);
@@ -366,7 +366,7 @@ pub fn format_nonzero() -> KernelProgram {
 }
 
 /// Formatting kernel for all-zero tensors (`__repr__` shortcut path).
-pub fn format_zero() -> KernelProgram {
+pub fn format_zero() -> Kernel {
     let b = KernelBuilder::new("format_zero_kernel");
     let out = b.param(0);
     let n = b.param(1);

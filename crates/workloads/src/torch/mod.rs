@@ -5,7 +5,7 @@
 //! losses, and `Tensor.__repr__`. See [`TorchFunction`].
 
 pub mod function;
-mod kernels;
+pub(crate) mod kernels;
 pub mod tensor;
 
 pub use function::{TorchFunction, TorchInput, TorchOpKind};

@@ -13,7 +13,7 @@ use owl::host::{Device, HostError};
 use std::collections::BTreeMap;
 
 /// A small in-example workload so the kernel is in scope for annotation.
-struct Lookup(owl::gpu::KernelProgram);
+struct Lookup(owl::gpu::Kernel);
 
 impl Lookup {
     fn new() -> Self {
@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("=== annotated report ===");
     let kernels: BTreeMap<String, &owl::gpu::KernelProgram> =
-        [("secret_lookup".to_string(), &program.0)]
+        [("secret_lookup".to_string(), &*program.0)]
             .into_iter()
             .collect();
     print!("{}", detection.report.annotate(&kernels));

@@ -19,7 +19,7 @@ use owl::gpu::exec::Interpreter;
 use owl::gpu::genkernel::{run_kernel, GeneratedKernel, SplitMix64};
 use owl::gpu::grid::LaunchConfig;
 use owl::gpu::isa::{MemWidth, SpecialReg};
-use owl::gpu::KernelProgram;
+use owl::gpu::Kernel;
 use owl::host::{Device, HostError};
 
 const RUNS: usize = 10;
@@ -41,7 +41,7 @@ fn first_completing_seed(base: u64) -> u64 {
         .expect("a completing kernel within 1024 seeds")
 }
 
-fn probe_kernel(leaky: bool) -> KernelProgram {
+fn probe_kernel(leaky: bool) -> Kernel {
     let b = KernelBuilder::new(if leaky { "probe_leaky" } else { "probe_clean" });
     let table = b.param(0);
     let secret = b.param(1);
@@ -69,14 +69,18 @@ fn probe_kernel(leaky: bool) -> KernelProgram {
 /// public arguments, so any secret dependence comes from the probe alone.
 struct FuzzHarness {
     kernel: GeneratedKernel,
-    probe: KernelProgram,
+    /// `kernel.program`, validated for launching.
+    fuzz: Kernel,
+    probe: Kernel,
     leaky: bool,
 }
 
 impl FuzzHarness {
     fn new(seed: u64, leaky: bool) -> Self {
+        let kernel = GeneratedKernel::generate(first_completing_seed(seed));
         FuzzHarness {
-            kernel: GeneratedKernel::generate(first_completing_seed(seed)),
+            fuzz: Kernel::new(kernel.program.clone()).expect("generated programs validate"),
+            kernel,
             probe: probe_kernel(leaky),
             leaky,
         }
@@ -112,7 +116,7 @@ impl TracedProgram for FuzzHarness {
             device.bind_texture(w, h, &texels);
         }
         args.extend_from_slice(&self.kernel.scalars);
-        device.launch(&self.kernel.program, self.kernel.config, &args)?;
+        device.launch(&self.fuzz, self.kernel.config, &args)?;
 
         let table = device.malloc(64 * 8);
         device.launch(
