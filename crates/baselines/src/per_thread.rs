@@ -236,7 +236,7 @@ mod tests {
     /// active.
     #[test]
     fn oracle_and_lowered_interpreters_give_identical_per_thread_traces() {
-        use owl_gpu::exec::{Interpreter, LaunchOptions};
+        use owl_gpu::exec::LaunchOptions;
 
         let program = DummySbox::new(300);
         let input = 0xABCDu64;
@@ -244,7 +244,7 @@ mod tests {
 
         let mut device = Device::new();
         device.set_launch_options(LaunchOptions {
-            interpreter: Interpreter::Oracle,
+            interpreter: owl_conformance::launch_oracle,
             ..LaunchOptions::default()
         });
         let tracer = Rc::new(RefCell::new(PerThreadTracer::new()));

@@ -21,22 +21,22 @@
 //! regression corpus, which is why generated kernels stay plain, editable
 //! [`KernelProgram`]s until a launch builds the [`Kernel`].
 //!
-//! The module is self-contained (seed-driven, no external RNG crate) so it
-//! can live in `src/` and be reused by unit tests, integration tests and
-//! the CI conformance job alike; property-test harnesses drive it by
-//! generating seeds.
+//! Generation is seed-driven through its own [`SplitMix64`], with no
+//! external RNG crate, so a seed alone names a kernel: the CI sweep, the
+//! metamorphic suite and the corpus reproduce from seeds, and
+//! property-test harnesses drive the generator by generating seeds.
 
 use serde::{Deserialize, Serialize};
 
-use crate::exec::{launch_with_options, Interpreter, LaunchOptions, LaunchStats};
-use crate::grid::LaunchConfig;
-use crate::hook::RecordingHook;
-use crate::isa::{
+use owl_gpu::exec::{launch_lowered, launch_with_options, Interpreter, LaunchOptions, LaunchStats};
+use owl_gpu::grid::LaunchConfig;
+use owl_gpu::hook::RecordingHook;
+use owl_gpu::isa::{
     AtomicOp, BinOp, CmpOp, Inst, InstOp, MemSpace, MemWidth, Operand, Pred, Reg, ShflMode,
     SpecialReg, UnOp,
 };
-use crate::mem::DeviceMemory;
-use crate::program::{BasicBlock, BlockId, Kernel, KernelProgram, Region, Stmt};
+use owl_gpu::mem::DeviceMemory;
+use owl_gpu::program::{BasicBlock, BlockId, Kernel, KernelProgram, Region, Stmt};
 
 /// SplitMix64 — a tiny, deterministic, dependency-free generator. The
 /// sequence is part of the corpus format: a persisted seed must keep
@@ -772,12 +772,12 @@ impl Gen {
 /// the final contents of every global buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaunchObservation {
-    /// `Ok(stats)` or the exact [`crate::error::ExecError`].
-    pub result: Result<LaunchStats, crate::error::ExecError>,
+    /// `Ok(stats)` or the exact [`owl_gpu::error::ExecError`].
+    pub result: Result<LaunchStats, owl_gpu::error::ExecError>,
     /// Basic-block entries per warp, in execution order.
-    pub bb_entries: Vec<(crate::hook::WarpRef, BlockId)>,
+    pub bb_entries: Vec<(owl_gpu::hook::WarpRef, BlockId)>,
     /// Memory access events per warp, in execution order.
-    pub accesses: Vec<(crate::hook::WarpRef, crate::hook::MemAccessEvent)>,
+    pub accesses: Vec<(owl_gpu::hook::WarpRef, owl_gpu::hook::MemAccessEvent)>,
     /// Kernel names announced via `kernel_begin`.
     pub kernels: Vec<String>,
     /// Final bytes of each global buffer, in parameter order.
@@ -841,8 +841,8 @@ pub fn run_kernel(kernel: &GeneratedKernel, interpreter: Interpreter) -> LaunchO
 ///
 /// Panics when `kernel.program` fails validation.
 pub fn diff_case(kernel: &GeneratedKernel) -> Result<(), String> {
-    let fast = run_kernel(kernel, Interpreter::Lowered);
-    let oracle = run_kernel(kernel, Interpreter::Oracle);
+    let fast = run_kernel(kernel, launch_lowered);
+    let oracle = run_kernel(kernel, crate::oracle::launch_oracle);
     if fast.result != oracle.result {
         return Err(format!(
             "launch outcome diverged:\n  lowered: {:?}\n  oracle:  {:?}",
@@ -1034,7 +1034,7 @@ mod tests {
                 let small = shrink(&k);
                 panic!(
                     "seed {seed} diverged: {e}\nshrunk program:\n{}",
-                    crate::disasm::dump_program(&small.program)
+                    owl_gpu::disasm::dump_program(&small.program)
                 );
             }
         }

@@ -17,13 +17,14 @@
 //! * per-instruction fuel accounting — no block-level budget charging.
 //!
 //! The only things it shares with the fast path are the *contract
-//! definitions*: the ISA types, the memory model ([`crate::mem`]), the hook
-//! interface with its event container and cost model ([`crate::hook`]), and
-//! the error type, plus [`Kernel`] as the proof that a program was
-//! validated. It must never read the allocated blocks or depend on
-//! `crate::lowered` — if the two interpreters shared interpretation
-//! logic or register numbering, a bug there would be invisible to the
-//! differential suite, which is also what checks the register allocation.
+//! definitions*: the ISA types, the memory model ([`owl_gpu::mem`]), the
+//! hook interface with its event container and cost model
+//! ([`owl_gpu::hook`]), and the error type, plus [`Kernel`] as the proof
+//! that a program was validated. The crate boundary enforces that it never
+//! reads the allocated blocks or the warp interpreter: both are private to
+//! `owl-gpu`. If the two interpreters shared interpretation logic or
+//! register numbering, a bug there would be invisible to the differential
+//! suite, which is also what checks the register allocation.
 //!
 //! The observable contract both interpreters satisfy:
 //!
@@ -36,18 +37,18 @@
 //! * identical `Result`, including the exact [`ExecError`] variant and
 //!   fields on failure.
 
-use crate::error::ExecError;
-use crate::grid::{Dim3, LaunchConfig};
-use crate::hook::{AccessKind, KernelHook, LaunchInfo, MemEventBatch, WarpRef};
-use crate::isa::{
+use owl_gpu::error::ExecError;
+use owl_gpu::grid::{Dim3, LaunchConfig};
+use owl_gpu::hook::{AccessKind, KernelHook, LaunchInfo, MemEventBatch, WarpRef};
+use owl_gpu::isa::{
     AtomicOp, BinOp, CmpOp, Guard, Inst, InstOp, MemSpace, Operand, ShflMode, SpecialReg, UnOp,
     CANONICAL_NAN,
 };
-use crate::mem::{AccessError, DeviceMemory, LinearMemory};
-use crate::program::{BlockId, Kernel, KernelProgram, Region, Stmt};
-use owl_metrics::SimCounters;
+use owl_gpu::mem::{AccessError, DeviceMemory, LinearMemory};
+use owl_gpu::program::{BlockId, Kernel, KernelProgram, Region, Stmt};
+use owl_gpu::SimCounters;
 
-use crate::exec::{LaunchOptions, LaunchStats};
+use owl_gpu::exec::{LaunchOptions, LaunchStats};
 
 /// Execution resources threaded through the oracle, mirroring the engine's
 /// environment but without the shared event batch (the oracle builds one
@@ -57,7 +58,7 @@ struct OracleEnv<'a> {
     shared: &'a mut LinearMemory,
     hook: &'a mut dyn KernelHook,
     fuel: &'a mut u64,
-    cancel: Option<&'a crate::cancel::CancelToken>,
+    cancel: Option<&'a owl_gpu::cancel::CancelToken>,
     cancel_countdown: &'a mut u32,
     args: &'a [u64],
     counters: &'a mut SimCounters,
@@ -308,7 +309,7 @@ impl<'p> OracleWarp<'p> {
                 if token.is_cancelled() {
                     return Err(ExecError::Cancelled);
                 }
-                *env.cancel_countdown = crate::exec::CANCEL_CHECK_STRIDE;
+                *env.cancel_countdown = owl_gpu::exec::CANCEL_CHECK_STRIDE;
             }
             *env.cancel_countdown -= 1;
         }
@@ -648,7 +649,7 @@ impl<'p> OracleWarp<'p> {
     }
 }
 
-/// [`crate::exec::launch_with_options`] executed by the reference oracle.
+/// [`owl_gpu::exec::launch_with_options`] executed by the reference oracle.
 ///
 /// The engine loop mirrors the production engine (sequential CTAs, warps
 /// run to the next barrier, barrier releases when every non-done warp has
@@ -672,7 +673,7 @@ pub fn launch_oracle(
     if config.total_threads() == 0 {
         return Err(ExecError::EmptyLaunch);
     }
-    if !(1..=crate::grid::MAX_WARP_SIZE).contains(&options.warp_size) {
+    if !(1..=owl_gpu::grid::MAX_WARP_SIZE).contains(&options.warp_size) {
         return Err(ExecError::InvalidWarpSize {
             warp_size: options.warp_size,
         });
@@ -682,7 +683,7 @@ pub fn launch_oracle(
     if options
         .cancel
         .as_ref()
-        .is_some_and(crate::cancel::CancelToken::is_cancelled)
+        .is_some_and(owl_gpu::cancel::CancelToken::is_cancelled)
     {
         return Err(ExecError::Cancelled);
     }
@@ -863,16 +864,16 @@ fn alu_cmp(op: CmpOp, a: u64, b: u64) -> bool {
 
 #[cfg(test)]
 mod tests {
-    use crate::build::KernelBuilder;
-    use crate::exec::{launch_with_options, Interpreter, LaunchOptions};
-    use crate::grid::LaunchConfig;
-    use crate::hook::NullHook;
-    use crate::isa::{CmpOp, MemWidth, SpecialReg};
-    use crate::mem::DeviceMemory;
+    use owl_gpu::build::KernelBuilder;
+    use owl_gpu::exec::{launch_with_options, LaunchOptions};
+    use owl_gpu::grid::LaunchConfig;
+    use owl_gpu::hook::NullHook;
+    use owl_gpu::isa::{CmpOp, MemWidth, SpecialReg};
+    use owl_gpu::mem::DeviceMemory;
 
     fn oracle_opts() -> LaunchOptions {
         LaunchOptions {
-            interpreter: Interpreter::Oracle,
+            interpreter: super::launch_oracle,
             ..LaunchOptions::default()
         }
     }

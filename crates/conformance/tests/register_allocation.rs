@@ -8,7 +8,8 @@
 //! bits, so the mistake shows in memory: every test checks the expected
 //! output and that both interpreters agree on memory and every hook event.
 
-use owl_gpu::exec::{launch_with_options, Interpreter, LaunchOptions};
+use owl_conformance::launch_oracle;
+use owl_gpu::exec::{launch_lowered, launch_with_options, Interpreter, LaunchOptions};
 use owl_gpu::grid::LaunchConfig;
 use owl_gpu::hook::RecordingHook;
 use owl_gpu::isa::{
@@ -114,7 +115,7 @@ fn block(id: u32) -> Stmt {
 /// asserts that they agree on the launch outcome, memory and every hook
 /// event, and returns `rows` output rows of one value per thread.
 fn run_both(kernel: &Kernel, threads: u32, rows: u64) -> Vec<Vec<u64>> {
-    let run = |interpreter| {
+    let run = |interpreter: Interpreter| {
         let mut mem = DeviceMemory::new();
         let (_, out) = mem.alloc((rows * ROW) as usize);
         let mut hook = RecordingHook::default();
@@ -138,8 +139,8 @@ fn run_both(kernel: &Kernel, threads: u32, rows: u64) -> Vec<Vec<u64>> {
             .collect();
         (result, values, hook)
     };
-    let (fast_result, fast, fast_events) = run(Interpreter::Lowered);
-    let (oracle_result, oracle, oracle_events) = run(Interpreter::Oracle);
+    let (fast_result, fast, fast_events) = run(launch_lowered);
+    let (oracle_result, oracle, oracle_events) = run(launch_oracle);
     let name = &kernel.name;
     assert_eq!(
         fast_result, oracle_result,

@@ -10,8 +10,9 @@
 //! 3. Reconvergence events never exceed divergence events, and divergence
 //!    events never exceed branches (asserted via `SimCounters`).
 
-use owl_gpu::exec::{launch_with_options, Interpreter, LaunchOptions, LaunchStats};
-use owl_gpu::genkernel::{run_kernel, GeneratedKernel};
+use owl_conformance::genkernel::{run_kernel, GeneratedKernel};
+use owl_conformance::INTERPRETERS;
+use owl_gpu::exec::{launch_lowered, launch_with_options, Interpreter, LaunchOptions, LaunchStats};
 use owl_gpu::hook::NullHook;
 use owl_gpu::isa::{
     AtomicOp, BinOp, CmpOp, Inst, InstOp, MemSpace, MemWidth, Operand, Pred, Reg, SpecialReg,
@@ -165,7 +166,7 @@ fn expected_warp_mask(kernel: &GeneratedKernel, gtid: u64) -> u64 {
 
 fn assert_probe_invariants(
     kernel: &GeneratedKernel,
-    interpreter: Interpreter,
+    (name, interpreter): (&str, Interpreter),
 ) -> Result<bool, TestCaseError> {
     let Some((retired, ballots, stats)) = run_probed(kernel, interpreter) else {
         return Ok(false);
@@ -174,31 +175,31 @@ fn assert_probe_invariants(
     prop_assert_eq!(
         retired,
         total,
-        "{:?}: every thread must retire exactly once",
-        interpreter
+        "{}: every thread must retire exactly once",
+        name
     );
     for (gtid, &ballot) in ballots.iter().enumerate() {
         prop_assert_eq!(
             ballot,
             expected_warp_mask(kernel, gtid as u64),
-            "{:?}: thread {} saw a partial mask at top level — the \
+            "{}: thread {} saw a partial mask at top level — the \
              divergence stack did not unwind",
-            interpreter,
+            name,
             gtid
         );
     }
     let c = &stats.counters;
     prop_assert!(
         c.reconvergences <= c.divergence_events,
-        "{:?}: reconvergences {} > divergence events {}",
-        interpreter,
+        "{}: reconvergences {} > divergence events {}",
+        name,
         c.reconvergences,
         c.divergence_events
     );
     prop_assert!(
         c.divergence_events <= c.branches,
-        "{:?}: divergence events {} > branches {}",
-        interpreter,
+        "{}: divergence events {} > branches {}",
+        name,
         c.divergence_events,
         c.branches
     );
@@ -211,7 +212,7 @@ proptest! {
     #[test]
     fn probe_observes_full_mask_and_single_retirement(seed in any::<u64>()) {
         let kernel = with_probe(GeneratedKernel::generate(seed));
-        for interpreter in [Interpreter::Lowered, Interpreter::Oracle] {
+        for interpreter in INTERPRETERS {
             assert_probe_invariants(&kernel, interpreter)?;
         }
     }
@@ -222,7 +223,7 @@ proptest! {
     #[test]
     fn counter_ordering_holds_on_raw_kernels(seed in any::<u64>()) {
         let kernel = GeneratedKernel::generate(seed);
-        for interpreter in [Interpreter::Lowered, Interpreter::Oracle] {
+        for (_, interpreter) in INTERPRETERS {
             if let Ok(stats) = &run_kernel(&kernel, interpreter).result {
                 let c = &stats.counters;
                 prop_assert!(c.reconvergences <= c.divergence_events);
@@ -240,7 +241,7 @@ fn most_probed_launches_complete() {
     let mut completed = 0;
     for seed in 0..64u64 {
         let kernel = with_probe(GeneratedKernel::generate(seed));
-        if run_probed(&kernel, Interpreter::Lowered).is_some() {
+        if run_probed(&kernel, launch_lowered).is_some() {
             completed += 1;
         }
     }

@@ -116,7 +116,6 @@ impl DetectError {
             DetectError::Host(HostError::Memcpy(_)) => "host_memcpy",
             DetectError::Host(HostError::InvalidFree { .. }) => "host_invalid_free",
             DetectError::Host(HostError::Launch(e)) => match e {
-                ExecError::InvalidProgram(_) => "exec_invalid_program",
                 ExecError::Memory { .. } => "exec_memory",
                 ExecError::DivisionByZero { .. } => "exec_division_by_zero",
                 ExecError::ParamOutOfRange { .. } => "exec_param_out_of_range",

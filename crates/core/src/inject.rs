@@ -26,15 +26,12 @@ use crate::record::RunSpec;
 use owl_gpu::hook::WarpRef;
 use owl_gpu::isa::MemSpace;
 use owl_gpu::mem::AccessError;
-use owl_gpu::program::ProgramError;
 use owl_gpu::{BlockId, ExecError};
 use owl_host::{Device, HostError};
 
 /// Which [`ExecError`] variant to synthesize.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecFaultKind {
-    /// [`ExecError::InvalidProgram`].
-    InvalidProgram,
     /// [`ExecError::Memory`].
     Memory,
     /// [`ExecError::DivisionByZero`].
@@ -59,8 +56,7 @@ pub enum ExecFaultKind {
 
 impl ExecFaultKind {
     /// Every variant, for exhaustive fault-matrix tests.
-    pub const ALL: [ExecFaultKind; 11] = [
-        ExecFaultKind::InvalidProgram,
+    pub const ALL: [ExecFaultKind; 10] = [
         ExecFaultKind::Memory,
         ExecFaultKind::DivisionByZero,
         ExecFaultKind::ParamOutOfRange,
@@ -77,9 +73,6 @@ impl ExecFaultKind {
     pub fn synthesize(self) -> ExecError {
         let warp = WarpRef { cta: 0, warp: 0 };
         match self {
-            ExecFaultKind::InvalidProgram => {
-                ExecError::InvalidProgram(ProgramError::UnknownBlock(BlockId(u32::MAX)))
-            }
             ExecFaultKind::Memory => ExecError::Memory {
                 bb: BlockId(0),
                 inst_idx: 0,

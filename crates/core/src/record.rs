@@ -18,7 +18,7 @@ use crate::govern::{CancelToken, ResourceBudget};
 use crate::program::TracedProgram;
 use crate::trace::{InvocationKey, KernelInvocation, MallocRecord, ProgramTrace};
 use crate::tracer::OwlTracer;
-use owl_gpu::exec::{Interpreter, LaunchOptions};
+use owl_gpu::exec::{launch_lowered, Interpreter, LaunchOptions};
 use owl_host::{Device, HostEvent};
 use owl_metrics::SimCounters;
 use std::cell::RefCell;
@@ -104,9 +104,10 @@ fn mix64(mut x: u64) -> u64 {
 /// The default records on the lowered interpreter under the default budget
 /// (simulator fuel only), with no token and the default retry policy.
 /// `detect()` builds one from its [`OwlConfig`](crate::OwlConfig); the
-/// conformance suite swaps in [`Interpreter::Oracle`] and asserts the
-/// traces, digests and counters come out bit-identical.
-#[derive(Debug, Clone, Default)]
+/// conformance tests swap in the reference oracle
+/// (`owl_conformance::launch_oracle`) and assert the traces, digests and
+/// counters come out bit-identical.
+#[derive(Debug, Clone)]
 pub struct Recorder {
     /// The simulator interpreter every launch runs on.
     pub interpreter: Interpreter,
@@ -118,6 +119,17 @@ pub struct Recorder {
     pub cancel: Option<CancelToken>,
     /// Attempts per run.
     pub retry: RetryPolicy,
+}
+
+impl Default for Recorder {
+    fn default() -> Self {
+        Recorder {
+            interpreter: launch_lowered,
+            budget: ResourceBudget::default(),
+            cancel: None,
+            retry: RetryPolicy::default(),
+        }
+    }
 }
 
 impl Recorder {
@@ -498,7 +510,7 @@ mod tests {
             assert_eq!(plain, record(&Recorder::default(), &aslr), "seed {seed}");
         }
         let oracle = Recorder {
-            interpreter: Interpreter::Oracle,
+            interpreter: owl_conformance::launch_oracle,
             ..Recorder::default()
         };
         assert_eq!(plain, record(&oracle, &RunSpec::default()));
@@ -563,7 +575,7 @@ mod tests {
             attempt: 0,
         };
         let oracle = Recorder {
-            interpreter: Interpreter::Oracle,
+            interpreter: owl_conformance::launch_oracle,
             ..Recorder::default()
         };
         for input in [2u64, 5] {

@@ -266,68 +266,4 @@ mod tests {
         assert!(instruction_at(&p, 99, 0).is_none());
         assert!(instruction_at(&p, 0, 99).is_none());
     }
-
-    /// The operator or memory-space spelling `format_inst` writes for `op`,
-    /// with the variant it stands for. Register, predicate and the other
-    /// enum names come from `Display`/`Debug` and cannot collide.
-    fn spelling(op: &InstOp) -> Option<(&'static str, String, String)> {
-        Some(match op {
-            InstOp::Bin { op, .. } => ("binary operator", bin_op(*op).into(), format!("{op:?}")),
-            InstOp::Un { op, .. } => ("unary operator", un_op(*op).into(), format!("{op:?}")),
-            InstOp::SetP { op, .. } => ("comparison", cmp_op(*op).into(), format!("{op:?}")),
-            InstOp::Ld { space, .. } | InstOp::St { space, .. } | InstOp::Atomic { space, .. } => {
-                ("memory space", space.to_string(), format!("{space:?}"))
-            }
-            _ => return None,
-        })
-    }
-
-    /// Over the hand-built sample and 64 generated kernels (which cover the
-    /// whole ISA), every instruction formats to non-empty text,
-    /// [`instruction_at`] agrees with [`format_inst`] at every coordinate,
-    /// no two distinct instructions format to the same text, and no two
-    /// guards, operators or memory spaces share a spelling (which the
-    /// previous check only sees when two instructions also share their
-    /// operands) — so a leak's disassembly names exactly one instruction.
-    #[test]
-    fn every_instruction_formats_without_panicking() {
-        use crate::genkernel::GeneratedKernel;
-        use std::collections::HashMap;
-        let programs = std::iter::once(KernelProgram::clone(&sample()))
-            .chain((0..64u64).map(|seed| GeneratedKernel::generate(seed).program));
-        let mut texts: HashMap<String, Inst> = HashMap::new();
-        let mut spellings: HashMap<(&str, String), String> = HashMap::new();
-        let mut spell = |kind: &'static str, spelled: String, name: String| {
-            if let Some(other) = spellings.insert((kind, spelled.clone()), name.clone()) {
-                assert_eq!(other, name, "two {kind}s are spelled {spelled:?}");
-            }
-        };
-        for p in programs {
-            for (bb, block) in p.blocks.iter().enumerate() {
-                for (i, inst) in block.insts.iter().enumerate() {
-                    let text = format_inst(inst);
-                    assert!(!text.is_empty());
-                    assert_eq!(
-                        instruction_at(&p, bb as u32, i as u32).as_deref(),
-                        Some(text.as_str()),
-                        "{} bb{bb}:{i}",
-                        p.name
-                    );
-                    if let Some(other) = texts.insert(text.clone(), inst.clone()) {
-                        assert_eq!(&other, inst, "two instructions format as {text:?}");
-                    }
-                    let bare = format_inst(&Inst {
-                        op: inst.op.clone(),
-                        guard: None,
-                    });
-                    let guard = text.strip_suffix(&bare).expect("a guard only prefixes");
-                    spell("guard", guard.to_string(), format!("{:?}", inst.guard));
-                    if let Some((kind, spelled, name)) = spelling(&inst.op) {
-                        spell(kind, spelled, name);
-                    }
-                }
-                assert!(instruction_at(&p, bb as u32, block.insts.len() as u32).is_none());
-            }
-        }
-    }
 }

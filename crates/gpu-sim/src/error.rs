@@ -3,16 +3,11 @@
 use crate::hook::WarpRef;
 use crate::isa::MemSpace;
 use crate::mem::AccessError;
-use crate::program::{BlockId, ProgramError};
+use crate::program::BlockId;
 
 /// An error raised while launching or executing a kernel.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecError {
-    /// The kernel failed static validation. A launch never returns it,
-    /// since [`crate::program::Kernel::new`] validates every kernel when it
-    /// is built; it remains for callers that report a [`ProgramError`] as
-    /// an execution error, such as `owl-core`'s fault injector (`inject.rs`).
-    InvalidProgram(ProgramError),
     /// A lane performed an out-of-bounds or unmapped access.
     Memory {
         /// Block containing the faulting instruction.
@@ -75,7 +70,6 @@ pub enum ExecError {
 impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ExecError::InvalidProgram(e) => write!(f, "invalid kernel: {e}"),
             ExecError::Memory {
                 bb,
                 inst_idx,
@@ -122,7 +116,6 @@ impl std::fmt::Display for ExecError {
 impl std::error::Error for ExecError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ExecError::InvalidProgram(e) => Some(e),
             ExecError::Memory { source, .. } => Some(source),
             _ => None,
         }

@@ -24,8 +24,10 @@ pub const DEFAULT_FUEL: u64 = 2_000_000_000;
 /// Basic-block entries between [`CancelToken`] polls. Striding keeps the
 /// clock read (armed deadlines call `Instant::now`) off the per-block hot
 /// path while still bounding the reaction latency to a few hundred
-/// instructions; an un-armed launch pays one branch per block entry.
-pub(crate) const CANCEL_CHECK_STRIDE: u32 = 64;
+/// instructions; an un-armed launch pays one branch per block entry. Every
+/// [`Interpreter`] polls at this stride, before the block's `bb_entry`, so
+/// all of them abandon a cancelled launch at the same point.
+pub const CANCEL_CHECK_STRIDE: u32 = 64;
 
 /// Counters describing one completed launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -50,27 +52,26 @@ impl LaunchStats {
     }
 }
 
-/// Which interpreter executes a launch.
+/// An interpreter: the function that executes a launch.
 ///
-/// Both interpreters implement the same observable contract — identical
-/// memory effects, hook event streams, [`LaunchStats`] and errors — and the
-/// conformance suite (`genkernel`/`oracle`) holds them to it by running
-/// random kernels through both and demanding bit-equality.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Interpreter {
-    /// The production fast path: whole-warp execution of the kernel's
-    /// register-allocated blocks, batched memory events.
-    #[default]
-    Lowered,
-    /// The deliberately naive reference oracle ([`crate::oracle`]): executes
-    /// the program as written, one register per value, one instruction and
-    /// one hook event at a time, sharing no interpretation logic with the
-    /// fast path.
-    Oracle,
-}
+/// [`launch_with_options`] hands every launch to
+/// [`LaunchOptions::interpreter`], which is [`launch_lowered`] unless the
+/// caller sets another. An interpreter keeps one observable contract:
+/// the memory effects, hook event stream, [`LaunchStats`] and errors of
+/// [`launch_lowered`], bit for bit. The dev-only `owl-conformance` crate
+/// implements the contract a second time, naively, in its reference
+/// oracle, and checks the two against each other on random kernels.
+pub type Interpreter = fn(
+    &mut DeviceMemory,
+    &Kernel,
+    LaunchConfig,
+    &[u64],
+    &mut dyn KernelHook,
+    LaunchOptions,
+) -> Result<LaunchStats, ExecError>;
 
 /// Launch options beyond geometry.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct LaunchOptions {
     /// Instruction budget for the launch.
     pub fuel: u64,
@@ -79,10 +80,12 @@ pub struct LaunchOptions {
     /// "can also be applied to other similar SIMT architectures", and this
     /// knob lets the whole pipeline be exercised at those widths.
     pub warp_size: u32,
-    /// Which interpreter runs the kernel (default: the lowered fast path).
+    /// The function that runs the kernel: [`launch_lowered`] by default.
+    /// Production code never changes it; conformance tests set it to the
+    /// reference oracle.
     pub interpreter: Interpreter,
     /// Cooperative cancellation handle, polled at basic-block boundaries
-    /// by both interpreters; `None` disarms the checks entirely.
+    /// by the interpreter; `None` disarms the checks entirely.
     pub cancel: Option<CancelToken>,
 }
 
@@ -91,7 +94,7 @@ impl Default for LaunchOptions {
         LaunchOptions {
             fuel: DEFAULT_FUEL,
             warp_size: crate::grid::WARP_SIZE,
-            interpreter: Interpreter::default(),
+            interpreter: launch_lowered,
             cancel: None,
         }
     }
@@ -142,7 +145,8 @@ pub fn launch(
     launch_with_options(mem, kernel, config, args, hook, LaunchOptions::default())
 }
 
-/// [`launch`] with explicit [`LaunchOptions`].
+/// [`launch`] with explicit [`LaunchOptions`], run by
+/// [`LaunchOptions::interpreter`].
 ///
 /// # Errors
 ///
@@ -155,9 +159,25 @@ pub fn launch_with_options(
     hook: &mut dyn KernelHook,
     options: LaunchOptions,
 ) -> Result<LaunchStats, ExecError> {
-    if options.interpreter == Interpreter::Oracle {
-        return crate::oracle::launch_oracle(mem, kernel, config, args, hook, options);
-    }
+    (options.interpreter)(mem, kernel, config, args, hook, options)
+}
+
+/// The warp interpreter, the [`Interpreter`] every launch runs by default:
+/// whole-warp execution of the kernel's register-allocated blocks, with
+/// memory events batched per block visit. It ignores
+/// [`LaunchOptions::interpreter`].
+///
+/// # Errors
+///
+/// See [`launch`].
+pub fn launch_lowered(
+    mem: &mut DeviceMemory,
+    kernel: &Kernel,
+    config: LaunchConfig,
+    args: &[u64],
+    hook: &mut dyn KernelHook,
+    options: LaunchOptions,
+) -> Result<LaunchStats, ExecError> {
     if config.total_threads() == 0 {
         return Err(ExecError::EmptyLaunch);
     }
@@ -745,131 +765,6 @@ mod tests {
             },
         );
         assert_eq!(err.unwrap_err(), ExecError::FuelExhausted);
-    }
-
-    /// An expired deadline stops a runaway loop with `Cancelled` — on both
-    /// interpreters, well before the (huge) fuel budget would.
-    #[test]
-    fn expired_deadline_cancels_runaway_loop() {
-        let b = KernelBuilder::new("spin");
-        let one = b.mov(1u64);
-        b.while_loop(
-            |b| b.setp(CmpOp::Eq, one, 1u64),
-            |b| {
-                let _ = b.add(one, 0u64);
-            },
-        );
-        let k = b.finish();
-        for interpreter in [Interpreter::Lowered, Interpreter::Oracle] {
-            let mut mem = DeviceMemory::new();
-            let token = crate::cancel::CancelToken::new();
-            let err = launch_with_options(
-                &mut mem,
-                &k,
-                LaunchConfig::new(1u32, 32u32),
-                &[],
-                &mut NullHook,
-                LaunchOptions {
-                    cancel: Some(token.deadline_in(std::time::Duration::from_millis(5))),
-                    interpreter,
-                    ..LaunchOptions::default()
-                },
-            );
-            assert_eq!(
-                err.unwrap_err(),
-                ExecError::Cancelled,
-                "{interpreter:?} must abandon the launch at a block boundary"
-            );
-        }
-    }
-
-    /// A token that fired before launch bails out before `kernel_begin`:
-    /// the hook observes no events at all.
-    #[test]
-    fn pre_cancelled_token_emits_no_events() {
-        let b = KernelBuilder::new("noop");
-        let _ = b.mov(0u64);
-        let k = b.finish();
-        for interpreter in [Interpreter::Lowered, Interpreter::Oracle] {
-            let token = crate::cancel::CancelToken::new();
-            token.cancel();
-            let mut mem = DeviceMemory::new();
-            let mut hook = RecordingHook::default();
-            let err = launch_with_options(
-                &mut mem,
-                &k,
-                LaunchConfig::new(1u32, 32u32),
-                &[],
-                &mut hook,
-                LaunchOptions {
-                    cancel: Some(token.clone()),
-                    interpreter,
-                    ..LaunchOptions::default()
-                },
-            );
-            assert_eq!(err.unwrap_err(), ExecError::Cancelled);
-            assert!(
-                hook.kernels.is_empty(),
-                "{interpreter:?} must not announce a cancelled launch"
-            );
-        }
-    }
-
-    /// Every NaN an `F*` op produces is `CANONICAL_NAN`, whatever the
-    /// operands' payloads, on both interpreters and on full and partial
-    /// warps (whose rows the compiler may split into vector and scalar
-    /// parts).
-    #[test]
-    fn float_nan_results_are_canonical() {
-        let b = KernelBuilder::new("nan");
-        let out = b.param(0);
-        let tid = b.special(SpecialReg::GlobalTid);
-        let nan_a = b.mov(0x7fc0_0001u64);
-        let nan_b = b.mov(0xffc0_0002u64);
-        let minus_one = b.mov(u64::from((-1.0f32).to_bits()));
-        let results = [
-            b.fadd(nan_a, nan_b),
-            b.fsub(nan_a, nan_b),
-            b.fmul(nan_a, nan_b),
-            b.fdiv(nan_a, nan_b),
-            b.fmin(nan_a, nan_b),
-            b.fmax(nan_a, nan_b),
-            b.fsqrt(minus_one),
-            b.fln(minus_one),
-        ];
-        let n = results.len() as u64;
-        let row = b.add(out, b.mul(tid, 8 * n));
-        for (i, v) in results.into_iter().enumerate() {
-            b.store_global(b.add(row, 8 * i as u64), v, MemWidth::B8);
-        }
-        let k = b.finish();
-        for threads in [32u32, 7] {
-            for interpreter in [Interpreter::Lowered, Interpreter::Oracle] {
-                let mut mem = DeviceMemory::new();
-                let (_, o) = mem.alloc(8 * n as usize * threads as usize);
-                launch_with_options(
-                    &mut mem,
-                    &k,
-                    LaunchConfig::new(1u32, threads),
-                    &[o],
-                    &mut NullHook,
-                    LaunchOptions {
-                        interpreter,
-                        ..LaunchOptions::default()
-                    },
-                )
-                .unwrap();
-                for slot in 0..n * u64::from(threads) {
-                    assert_eq!(
-                        mem.load(o + 8 * slot, 8).unwrap(),
-                        u64::from(crate::isa::CANONICAL_NAN),
-                        "{interpreter:?}, {threads} threads: lane {}, op {}",
-                        slot / n,
-                        slot % n
-                    );
-                }
-            }
-        }
     }
 
     /// Out-of-bounds access reports the faulting location.

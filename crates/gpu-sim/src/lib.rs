@@ -10,6 +10,14 @@
 //! basic-block entries per warp and memory accesses per lane — precisely
 //! the trace observables Owl's detector consumes.
 //!
+//! The crate ships one interpreter, the warp interpreter
+//! ([`exec::launch_lowered`]). [`exec::LaunchOptions::interpreter`] is the
+//! seam through which tests swap in another: the dev-only `owl-conformance`
+//! crate holds a naive reference oracle and a random-kernel generator, and
+//! checks the two interpreters against each other bit for bit. It sees only
+//! this crate's public API, so the register-allocated blocks the warp
+//! interpreter runs stay out of the oracle's reach.
+//!
 //! # Fidelity notes
 //!
 //! * **Warps execute in lockstep.** A basic block is visited once per warp
@@ -66,20 +74,20 @@ pub mod cancel;
 pub mod disasm;
 pub mod error;
 pub mod exec;
-pub mod genkernel;
 pub mod grid;
 pub mod hook;
 pub mod isa;
 mod lowered;
 pub mod mem;
-pub mod oracle;
 pub mod program;
 mod warp;
 
 pub use build::KernelBuilder;
 pub use cancel::CancelToken;
 pub use error::ExecError;
-pub use exec::{launch, launch_with_options, Interpreter, LaunchOptions, LaunchStats};
+pub use exec::{
+    launch, launch_lowered, launch_with_options, Interpreter, LaunchOptions, LaunchStats,
+};
 pub use grid::{Dim3, LaunchConfig, WARP_SIZE};
 pub use hook::{
     AccessKind, KernelHook, LaunchInfo, MemAccessEvent, MemEventBatch, MemEventDesc, NullHook,

@@ -111,9 +111,11 @@ pub struct KernelProgram {
 /// copy of the blocks the warp interpreter executes, so a warp's register
 /// file has [`Kernel::slots`] rows instead of one per value. The kernel
 /// derefs, read-only, to the [`KernelProgram`] as written, which the
-/// reference oracle executes and the static readers inspect. A `Kernel`
-/// cannot change after it is built, so its allocated form needs no cache
-/// key and no invalidation.
+/// static readers inspect. The allocated copy is private to this crate, so
+/// an interpreter built outside it (the conformance suite's reference
+/// oracle) executes the program as written and takes the `Kernel` only as
+/// proof of validation. A `Kernel` cannot change after it is built, so its
+/// allocated form needs no cache key and no invalidation.
 ///
 /// Kernels are plain data: the parallel evidence phase shares them freely
 /// across recording workers (each worker owns its own `Device`, but all of
@@ -134,7 +136,8 @@ const _: () = {
 };
 
 impl Kernel {
-    /// Validates `program` and allocates its registers.
+    /// Validates `program` and allocates its registers. Debug builds also
+    /// check that the allocated copy keeps the program's shape.
     ///
     /// # Errors
     ///
@@ -142,6 +145,11 @@ impl Kernel {
     pub fn new(program: KernelProgram) -> Result<Kernel, ProgramError> {
         program.validate()?;
         let (allocated, slots) = crate::lowered::allocate(&program);
+        debug_assert!(
+            crate::lowered::same_shape(&program, &allocated, slots),
+            "{}: register allocation changed the program's shape",
+            program.name
+        );
         Ok(Kernel {
             program,
             allocated,

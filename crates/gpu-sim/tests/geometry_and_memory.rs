@@ -43,46 +43,6 @@ fn two_dimensional_block_coordinates() {
 }
 
 #[test]
-fn three_dimensional_block_coordinates_on_both_interpreters() {
-    // 4x3x5 block in a grid of 2: out[global] = x | y << 8 | z << 16.
-    use owl_gpu::exec::{launch_with_options, Interpreter, LaunchOptions};
-    let b = KernelBuilder::new("coords3d");
-    let out = b.param(0);
-    let x = b.special(SpecialReg::TidX);
-    let y = b.special(SpecialReg::TidY);
-    let z = b.special(SpecialReg::TidZ);
-    let global = b.special(SpecialReg::GlobalTid);
-    let packed = b.or(b.or(x, b.shl(y, 8u64)), b.shl(z, 16u64));
-    b.store_global(b.add(out, b.mul(global, 8u64)), packed, MemWidth::B8);
-    let k = b.finish();
-    for interpreter in [Interpreter::Lowered, Interpreter::Oracle] {
-        let mut mem = DeviceMemory::new();
-        let (_, o) = mem.alloc(8 * 120);
-        launch_with_options(
-            &mut mem,
-            &k,
-            LaunchConfig::new(2u32, (4u32, 3u32, 5u32)),
-            &[o],
-            &mut NullHook,
-            LaunchOptions {
-                interpreter,
-                ..LaunchOptions::default()
-            },
-        )
-        .unwrap();
-        for t in 0..120u64 {
-            let local = t % 60;
-            let expect = (local % 4) | ((local / 4 % 3) << 8) | ((local / 12) << 16);
-            assert_eq!(
-                mem.load(o + 8 * t, 8).unwrap(),
-                expect,
-                "{interpreter:?} thread {t}"
-            );
-        }
-    }
-}
-
-#[test]
 fn three_dimensional_grid_coordinates() {
     // 2x2x2 grid of single-thread blocks; each writes its (bx,by,bz).
     let b = KernelBuilder::new("grid3d");

@@ -2,18 +2,18 @@
 //!
 //! Every randomly generated kernel must behave *bit-identically* under the
 //! production lowered interpreter and the naive reference oracle
-//! (`owl_gpu::oracle`): same launch outcome (including the exact error),
-//! same hook event streams, same `SimCounters`, same final device memory.
-//! See `DESIGN.md` §3.14 for the conformance contract.
+//! (`owl_conformance::oracle`): same launch outcome (including the exact
+//! error), same hook event streams, same `SimCounters`, same final device
+//! memory. See `DESIGN.md` §3.14 for the conformance contract.
 //!
-//! A divergence is shrunk (`owl_gpu::genkernel::shrink`) and persisted as
-//! a JSON corpus file under `tests/corpus/new-<seed>.json`; CI uploads
-//! those files as artifacts. Committed corpus files are replayed by
+//! A divergence is shrunk (`owl_conformance::genkernel::shrink`) and
+//! persisted as a JSON corpus file under `tests/corpus/new-<seed>.json`; CI
+//! uploads those files as artifacts. Committed corpus files are replayed by
 //! [`corpus_replays_conformant`] on every run, so a once-found divergence
 //! stays a plain `cargo test` regression forever.
 
-use owl_gpu::exec::Interpreter;
-use owl_gpu::genkernel::{diff_case, run_kernel, shrink, GeneratedKernel};
+use owl_conformance::genkernel::{diff_case, run_kernel, shrink, GeneratedKernel};
+use owl_gpu::exec::launch_lowered;
 use std::path::{Path, PathBuf};
 
 /// Fixed seed base: CI sweeps the same kernel population every run, so a
@@ -70,7 +70,7 @@ fn generated_kernels_agree_across_interpreters() {
         if let Err(err) = diff_case(&kernel) {
             persist_counterexample(seed, &kernel, &err);
         }
-        if run_kernel(&kernel, Interpreter::Lowered).result.is_err() {
+        if run_kernel(&kernel, launch_lowered).result.is_err() {
             faulting += 1;
         }
     }

@@ -15,12 +15,13 @@ use owl::core::{
     RetryPolicy, RunSpec, TracedProgram, Verdict, STREAM_RND,
 };
 use owl::gpu::build::KernelBuilder;
-use owl::gpu::exec::Interpreter;
-use owl::gpu::genkernel::{run_kernel, GeneratedKernel, SplitMix64};
+use owl::gpu::exec::launch_lowered;
 use owl::gpu::grid::LaunchConfig;
 use owl::gpu::isa::{MemWidth, SpecialReg};
 use owl::gpu::Kernel;
 use owl::host::{Device, HostError};
+use owl_conformance::genkernel::{run_kernel, GeneratedKernel, SplitMix64};
+use owl_conformance::launch_oracle;
 
 const RUNS: usize = 10;
 /// Base for the metamorphic kernel population — distinct from the
@@ -36,7 +37,7 @@ fn first_completing_seed(base: u64) -> u64 {
         .map(|i| base + i)
         .find(|&seed| {
             let k = GeneratedKernel::generate(seed);
-            run_kernel(&k, Interpreter::Lowered).result.is_ok()
+            run_kernel(&k, launch_lowered).result.is_ok()
         })
         .expect("a completing kernel within 1024 seeds")
 }
@@ -430,7 +431,7 @@ fn harness_recording_agrees_across_interpreters() {
         attempt: 0,
     };
     let oracle_recorder = Recorder {
-        interpreter: Interpreter::Oracle,
+        interpreter: launch_oracle,
         ..Recorder::default()
     };
     for secret in INPUTS {

@@ -77,7 +77,6 @@ fn every_fault() -> Vec<(&'static str, InjectedFault)> {
         .map(|kind| {
             // The error-kind tag the quarantine record must carry.
             let tag = match kind {
-                ExecFaultKind::InvalidProgram => "exec_invalid_program",
                 ExecFaultKind::Memory => "exec_memory",
                 ExecFaultKind::DivisionByZero => "exec_division_by_zero",
                 ExecFaultKind::ParamOutOfRange => "exec_param_out_of_range",

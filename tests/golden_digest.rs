@@ -10,13 +10,14 @@
 //! documented — update the pinned constants in the same commit.
 //!
 //! The digests must also be interpreter-independent: the reference oracle
-//! (`owl_gpu::oracle`) has to reproduce them bit for bit.
+//! (`owl_conformance::oracle`) has to reproduce them bit for bit.
 
 use owl::core::{Recorder, RunSpec, TracedProgram};
-use owl::gpu::exec::Interpreter;
+use owl::gpu::exec::{launch_lowered, Interpreter};
 use owl::workloads::aes::AesTTable;
 use owl::workloads::histogram::HistogramDirect;
 use owl::workloads::rsa::RsaSquareMultiply;
+use owl_conformance::launch_oracle;
 
 const SPEC: RunSpec = RunSpec {
     warp_size: 32,
@@ -27,14 +28,14 @@ const SPEC: RunSpec = RunSpec {
 };
 
 fn pinned_digest<P: TracedProgram>(program: &P, input: &P::Input, expected: u64) {
-    let record = |interpreter| {
+    let record = |interpreter: Interpreter| {
         let recorder = Recorder {
             interpreter,
             ..Recorder::default()
         };
         recorder.record(program, input, &SPEC).result
     };
-    let (trace, _) = record(Interpreter::Lowered).expect("recording succeeds");
+    let (trace, _) = record(launch_lowered).expect("recording succeeds");
     assert_eq!(
         trace.digest(),
         expected,
@@ -43,7 +44,7 @@ fn pinned_digest<P: TracedProgram>(program: &P, input: &P::Input, expected: u64)
          hashing). If intentional, update the pin in this test.",
         program.name()
     );
-    let (oracle_trace, _) = record(Interpreter::Oracle).expect("oracle recording succeeds");
+    let (oracle_trace, _) = record(launch_oracle).expect("oracle recording succeeds");
     assert_eq!(
         oracle_trace.digest(),
         expected,
