@@ -271,11 +271,10 @@ impl Walk<'_> {
     }
 }
 
+/// One weight per run: the value 1 where the invocation was present, 0
+/// where it was absent.
 fn presence_samples(present: u64, runs: u64) -> WeightedSamples {
-    let mut h = Histogram::new();
-    h.record(1, present);
-    h.record(0, runs.saturating_sub(present));
-    h.to_samples()
+    WeightedSamples::from_sorted_pairs([(0.0, runs.saturating_sub(present)), (1.0, present)])
 }
 
 fn node_transition_samples(g: &owl_dcfg::Adcfg, bb: u32) -> WeightedSamples {

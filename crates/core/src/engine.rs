@@ -29,7 +29,7 @@ use owl_stats::ks::ks_two_sample;
 use owl_stats::mi::class_mi_bits;
 use owl_stats::welch::welch_t_test;
 use owl_stats::WeightedSamples;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// The selectable analysis engines.
@@ -188,7 +188,7 @@ impl Engine {
 /// * `bits`, when present, is the engine's own estimate of the leakage in
 ///   bits per observation; engines that only decide (KS, TVLA) leave it
 ///   `None` and let the caller attach an independent severity estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineOutcome {
     /// Whether the feature was judged input-dependent.
     pub rejected: bool,
@@ -445,19 +445,6 @@ mod tests {
         assert!(s.rejected);
         assert_eq!(s.p_value, 0.0);
         assert_eq!(s.bits, Some(1.0));
-    }
-
-    #[test]
-    fn outcome_serde_round_trips() {
-        let out = EngineOutcome {
-            rejected: true,
-            statistic: 0.5,
-            p_value: 0.01,
-            bits: Some(0.25),
-        };
-        let json = serde_json::to_string(&out).expect("serialize");
-        let back: EngineOutcome = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(out, back);
     }
 
     fn key(kernel: &str) -> InvocationKey {

@@ -12,7 +12,7 @@
 //! every `parallelism` setting.
 //!
 //! The injectable faults cover the whole failure taxonomy the pipeline can
-//! meet: every [`ExecError`] variant (synthesized as a launch failure),
+//! meet: any [`ExecError`] (returned as a launch failure),
 //! host-runtime errors, an instrumentation trace-count mismatch (the hook
 //! is silently detached so device graphs go missing), worker panics, and
 //! the detector's own budget and deadline faults. All of them surface
@@ -23,91 +23,15 @@ use crate::error::DetectError;
 use crate::govern::ResourceKind;
 use crate::program::TracedProgram;
 use crate::record::RunSpec;
-use owl_gpu::hook::WarpRef;
-use owl_gpu::isa::MemSpace;
 use owl_gpu::mem::AccessError;
-use owl_gpu::{BlockId, ExecError};
+use owl_gpu::ExecError;
 use owl_host::{Device, HostError};
-
-/// Which [`ExecError`] variant to synthesize.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecFaultKind {
-    /// [`ExecError::Memory`].
-    Memory,
-    /// [`ExecError::DivisionByZero`].
-    DivisionByZero,
-    /// [`ExecError::ParamOutOfRange`].
-    ParamOutOfRange,
-    /// [`ExecError::BarrierDivergence`].
-    BarrierDivergence,
-    /// [`ExecError::BarrierDeadlock`].
-    BarrierDeadlock,
-    /// [`ExecError::FuelExhausted`].
-    FuelExhausted,
-    /// [`ExecError::Cancelled`].
-    Cancelled,
-    /// [`ExecError::EmptyLaunch`].
-    EmptyLaunch,
-    /// [`ExecError::InvalidWarpSize`].
-    InvalidWarpSize,
-    /// [`ExecError::UnboundTexture`].
-    UnboundTexture,
-}
-
-impl ExecFaultKind {
-    /// Every variant, for exhaustive fault-matrix tests.
-    pub const ALL: [ExecFaultKind; 10] = [
-        ExecFaultKind::Memory,
-        ExecFaultKind::DivisionByZero,
-        ExecFaultKind::ParamOutOfRange,
-        ExecFaultKind::BarrierDivergence,
-        ExecFaultKind::BarrierDeadlock,
-        ExecFaultKind::FuelExhausted,
-        ExecFaultKind::Cancelled,
-        ExecFaultKind::EmptyLaunch,
-        ExecFaultKind::InvalidWarpSize,
-        ExecFaultKind::UnboundTexture,
-    ];
-
-    /// A representative [`ExecError`] of this kind.
-    pub fn synthesize(self) -> ExecError {
-        let warp = WarpRef { cta: 0, warp: 0 };
-        match self {
-            ExecFaultKind::Memory => ExecError::Memory {
-                bb: BlockId(0),
-                inst_idx: 0,
-                warp,
-                space: MemSpace::Global,
-                source: AccessError {
-                    addr: 0xdead_beef,
-                    width: 8,
-                },
-            },
-            ExecFaultKind::DivisionByZero => ExecError::DivisionByZero {
-                bb: BlockId(0),
-                inst_idx: 0,
-                warp,
-            },
-            ExecFaultKind::ParamOutOfRange => ExecError::ParamOutOfRange {
-                index: 7,
-                provided: 0,
-            },
-            ExecFaultKind::BarrierDivergence => ExecError::BarrierDivergence { warp },
-            ExecFaultKind::BarrierDeadlock => ExecError::BarrierDeadlock,
-            ExecFaultKind::FuelExhausted => ExecError::FuelExhausted,
-            ExecFaultKind::Cancelled => ExecError::Cancelled,
-            ExecFaultKind::EmptyLaunch => ExecError::EmptyLaunch,
-            ExecFaultKind::InvalidWarpSize => ExecError::InvalidWarpSize { warp_size: 0 },
-            ExecFaultKind::UnboundTexture => ExecError::UnboundTexture { slot: 3 },
-        }
-    }
-}
 
 /// What a matching rule injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectedFault {
-    /// A kernel-launch failure with the given [`ExecError`] variant.
-    Exec(ExecFaultKind),
+    /// A kernel-launch failure with the given [`ExecError`].
+    Exec(ExecError),
     /// A host↔device copy failure ([`HostError::Memcpy`]).
     Memcpy,
     /// An invalid `free` ([`HostError::InvalidFree`]).
@@ -284,7 +208,7 @@ impl<P: TracedProgram> TracedProgram for FaultyProgram<P> {
     ) -> Result<(), DetectError> {
         match self.plan.fault_for(spec) {
             None => self.inner.run_with_spec(device, input, spec),
-            Some(InjectedFault::Exec(kind)) => Err(HostError::Launch(kind.synthesize()).into()),
+            Some(InjectedFault::Exec(error)) => Err(HostError::Launch(error).into()),
             Some(InjectedFault::Memcpy) => Err(HostError::Memcpy(AccessError {
                 addr: 0xbad_c0de,
                 width: 16,
@@ -328,8 +252,9 @@ mod tests {
     use crate::record::record_run_metered;
     use owl_gpu::build::KernelBuilder;
     use owl_gpu::grid::LaunchConfig;
-    use owl_gpu::isa::{MemWidth, SpecialReg};
-    use owl_gpu::Kernel;
+    use owl_gpu::hook::WarpRef;
+    use owl_gpu::isa::{MemSpace, MemWidth, SpecialReg};
+    use owl_gpu::{BlockId, Kernel};
 
     /// A minimal well-behaved program: one kernel, one malloc.
     struct Probe(Kernel);
@@ -376,7 +301,7 @@ mod tests {
 
     #[test]
     fn unmatched_runs_pass_through_unchanged() {
-        let plan = FaultPlan::new().fail_run(1, 0, InjectedFault::Exec(ExecFaultKind::Memory));
+        let plan = FaultPlan::new().fail_run(1, 0, InjectedFault::Exec(ExecError::FuelExhausted));
         let faulty = FaultyProgram::new(Probe::new(), plan);
         let clean = record_run_metered(&Probe::new(), &0, &spec(0, 5, 0)).expect("clean run");
         let wrapped = record_run_metered(&faulty, &0, &spec(0, 5, 0)).expect("unmatched run");
@@ -385,23 +310,46 @@ mod tests {
 
     #[test]
     fn every_exec_fault_kind_surfaces_with_its_kind_tag() {
-        for kind in ExecFaultKind::ALL {
-            let plan = FaultPlan::new().fail_run(1, 2, InjectedFault::Exec(kind));
+        let warp = WarpRef { cta: 0, warp: 0 };
+        let (bb, inst_idx) = (BlockId(0), 0);
+        let source = AccessError {
+            addr: 0xdead_beef,
+            width: 8,
+        };
+        let space = MemSpace::Global;
+        for error in [
+            ExecError::Memory {
+                bb,
+                inst_idx,
+                warp,
+                space,
+                source,
+            },
+            ExecError::DivisionByZero { bb, inst_idx, warp },
+            ExecError::ParamOutOfRange {
+                index: 7,
+                provided: 0,
+            },
+            ExecError::BarrierDivergence { warp },
+            ExecError::BarrierDeadlock,
+            ExecError::FuelExhausted,
+            ExecError::Cancelled,
+            ExecError::EmptyLaunch,
+            ExecError::InvalidWarpSize { warp_size: 0 },
+            ExecError::UnboundTexture { slot: 3 },
+        ] {
+            let plan = FaultPlan::new().fail_run(1, 2, InjectedFault::Exec(error));
             let faulty = FaultyProgram::new(Probe::new(), plan);
             let err = record_run_metered(&faulty, &0, &spec(1, 2, 0)).expect_err("injected");
-            assert_eq!(
-                err,
-                DetectError::Host(HostError::Launch(kind.synthesize())),
-                "kind {kind:?}"
-            );
-            assert!(err.kind().starts_with("exec_"), "kind {kind:?}");
+            assert_eq!(err, DetectError::Host(HostError::Launch(error)));
+            assert!(err.kind().starts_with("exec_"), "{error:?}");
         }
     }
 
     #[test]
     fn attempt_bounded_rules_are_transient() {
         let plan =
-            FaultPlan::new().fail_attempts(1, 2, 2, InjectedFault::Exec(ExecFaultKind::Memory));
+            FaultPlan::new().fail_attempts(1, 2, 2, InjectedFault::Exec(ExecError::FuelExhausted));
         let faulty = FaultyProgram::new(Probe::new(), plan);
         assert!(record_run_metered(&faulty, &0, &spec(1, 2, 0)).is_err());
         assert!(record_run_metered(&faulty, &0, &spec(1, 2, 1)).is_err());

@@ -102,7 +102,7 @@ pub use evidence::Evidence;
 pub use fault::{FaultRecord, RetryPolicy, RunAttempt};
 pub use filter::{filter_traces, FilterOutcome, InputClass};
 pub use govern::{CancelToken, ResourceBudget, ResourceKind};
-pub use inject::{ExecFaultKind, FaultPlan, FaultRule, FaultyProgram, InjectedFault};
+pub use inject::{FaultPlan, FaultRule, FaultyProgram, InjectedFault};
 pub use owl::{
     detect, detect_with_cancel, fix_stream, ConfigError, Detection, OwlConfig, PhaseStats, Verdict,
     STREAM_RND, STREAM_USER,

@@ -6,7 +6,7 @@ use crate::mem::AccessError;
 use crate::program::BlockId;
 
 /// An error raised while launching or executing a kernel.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecError {
     /// A lane performed an out-of-bounds or unmapped access.
     Memory {

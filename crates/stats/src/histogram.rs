@@ -174,14 +174,6 @@ impl FromIterator<(u64, u64)> for Histogram {
     }
 }
 
-impl Extend<(u64, u64)> for Histogram {
-    fn extend<I: IntoIterator<Item = (u64, u64)>>(&mut self, iter: I) {
-        for (v, c) in iter {
-            self.record(v, c);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

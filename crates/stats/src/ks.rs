@@ -6,12 +6,10 @@
 //! from non-deterministic execution noise rather than from the input. A
 //! rejected test is evidence of an input-dependent difference — a leak.
 
-use crate::ecdf::Ecdf;
-use crate::samples::WeightedSamples;
-use serde::{Deserialize, Serialize};
+use crate::samples::{merge_walk, WeightedSamples};
 
 /// The outcome of a two-sample KS test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KsOutcome {
     /// The KS statistic `D = sup_t |F_X(t) − F_Y(t)|` (eq. 2).
     pub statistic: f64,
@@ -109,8 +107,18 @@ pub fn ks_two_sample(x: &WeightedSamples, y: &WeightedSamples, alpha: f64) -> Ks
         (false, false) => {}
     }
 
-    let d = Ecdf::from_samples(x).sup_distance(&Ecdf::from_samples(y));
     let (nf, mf) = (n as f64, m as f64);
+    // Eq. (2): D = sup_t |F_X(t) − F_Y(t)|, with F the ECDF of eq. (1).
+    // Both are right-continuous step functions, so the supremum is attained
+    // at a point of the union of the supports.
+    let (mut cx, mut cy) = (0u64, 0u64);
+    let d = merge_walk(x.pairs().iter().copied(), y.pairs().iter().copied())
+        .map(|(wx, wy)| {
+            cx += wx;
+            cy += wy;
+            (cx as f64 / nf - cy as f64 / mf).abs()
+        })
+        .fold(0.0, f64::max);
     let sig = 1.0 - alpha;
     let threshold = ks_threshold(nf, mf, sig);
     // Eq. (4): p = 2 * exp(-2 D^2 * nm / (n+m)).

@@ -6,11 +6,10 @@
 //! against the distribution under **random** inputs. This crate provides the
 //! statistical primitives for that comparison:
 //!
-//! * [`Ecdf`] — empirical cumulative distribution functions over weighted
-//!   samples,
 //! * [`ks`] — the two-sample Kolmogorov–Smirnov test used by the paper
 //!   (eqs. (1)–(4)), chosen over Welch's t-test because it does not assume
-//!   normality,
+//!   normality; it and [`mi`] read their two [`WeightedSamples`] in one
+//!   merge walk over the union of the supports,
 //! * [`welch`] — Welch's t-test, the TVLA-style prior-work baseline (and
 //!   the statistic behind the detector's TVLA engine),
 //! * [`mi`] — mutual-information leakage quantification (bits per
@@ -38,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ecdf;
 pub mod histogram;
 pub mod ks;
 pub mod mi;
@@ -47,7 +45,6 @@ pub mod samples;
 pub mod transition;
 pub mod welch;
 
-pub use ecdf::Ecdf;
 pub use histogram::Histogram;
 pub use ks::{ks_two_sample, KsOutcome};
 pub use mi::class_mi_bits;

@@ -15,33 +15,36 @@
 //! to 1 bit (disjoint supports — one observation pins the class). It is
 //! the Jensen–Shannon divergence of the two distributions.
 
-use crate::samples::WeightedSamples;
-use std::collections::BTreeMap;
+use crate::samples::{merge_walk, WeightedSamples};
 
 /// Shannon entropy (bits) of a normalised distribution given as counts.
-fn entropy_bits<'a>(counts: impl Iterator<Item = &'a f64>, total: f64) -> f64 {
+fn entropy_bits(counts: impl Iterator<Item = f64>, total: f64) -> f64 {
     if total <= 0.0 {
         return 0.0;
     }
     counts
-        .filter(|&&c| c > 0.0)
-        .map(|&c| {
+        .filter(|&c| c > 0.0)
+        .map(|c| {
             let p = c / total;
             -p * p.log2()
         })
         .sum()
 }
 
-/// The support-point key of a sample value: its bit pattern, with `-0.0`
-/// canonicalised to `+0.0` so values that compare equal under `==` (the
-/// coalescing rule of [`WeightedSamples`]) never split into two support
-/// points across the two sides.
-fn support_key(v: f64) -> u64 {
-    if v == 0.0 {
-        0.0f64.to_bits()
-    } else {
-        v.to_bits()
-    }
+/// The support points of one side, in the order of their values' bit
+/// patterns, as two runs for the merge walk: the values ≥ 0 ascending
+/// (`-0.0` with `0.0`), then the negative values by ascending magnitude.
+fn bit_order(
+    s: &WeightedSamples,
+) -> (
+    impl Iterator<Item = (f64, u64)> + Clone + '_,
+    impl Iterator<Item = (f64, u64)> + Clone + '_,
+) {
+    let (negative, rest) = s.pairs().split_at(s.pairs().partition_point(|p| p.0 < 0.0));
+    (
+        rest.iter().copied(),
+        negative.iter().rev().map(|&(v, w)| (-v, w)),
+    )
 }
 
 /// Mutual information, in bits, between a balanced binary class variable
@@ -73,23 +76,16 @@ pub fn class_mi_bits(x: &WeightedSamples, y: &WeightedSamples) -> f64 {
         (false, false) => {}
     }
     let (nx, ny) = (x.total_weight() as f64, y.total_weight() as f64);
-    // Normalised per-class distributions over the union of support points.
-    let mut px: BTreeMap<u64, f64> = BTreeMap::new();
-    let mut py: BTreeMap<u64, f64> = BTreeMap::new();
-    for &(v, w) in x.pairs() {
-        *px.entry(support_key(v)).or_insert(0.0) += w as f64 / nx;
-    }
-    for &(v, w) in y.pairs() {
-        *py.entry(support_key(v)).or_insert(0.0) += w as f64 / ny;
-    }
-    let support: std::collections::BTreeSet<u64> = px.keys().chain(py.keys()).copied().collect();
-    let mix: Vec<f64> = support
-        .iter()
-        .map(|k| 0.5 * px.get(k).copied().unwrap_or(0.0) + 0.5 * py.get(k).copied().unwrap_or(0.0))
-        .collect();
-    let h_mix = entropy_bits(mix.iter(), mix.iter().sum());
-    let h_x = entropy_bits(px.values(), 1.0);
-    let h_y = entropy_bits(py.values(), 1.0);
+    // Normalised per-class probabilities over the union of support points,
+    // in bit-pattern order, which fixes the rounding of every sum below.
+    let ((x_pos, x_neg), (y_pos, y_neg)) = (bit_order(x), bit_order(y));
+    let points = merge_walk(x_pos, y_pos)
+        .chain(merge_walk(x_neg, y_neg))
+        .map(|(wx, wy)| (wx as f64 / nx, wy as f64 / ny));
+    let mix = points.clone().map(|(px, py)| 0.5 * px + 0.5 * py);
+    let h_mix = entropy_bits(mix.clone(), mix.sum());
+    let h_x = entropy_bits(points.clone().map(|(px, _)| px), 1.0);
+    let h_y = entropy_bits(points.map(|(_, py)| py), 1.0);
     (h_mix - 0.5 * h_x - 0.5 * h_y).clamp(0.0, 1.0)
 }
 
@@ -164,13 +160,13 @@ mod tests {
 
     #[test]
     fn merge_then_compare_equals_compare_of_merged() {
-        // Building one side from incrementally merged halves must yield
-        // bit-identical MI to building it in one shot: the estimator is a
-        // pure function of the weighted multiset.
+        // Building one side from merged halves must yield bit-identical MI
+        // to building it in one shot: the estimator is a pure function of
+        // the weighted multiset.
         let half_a = WeightedSamples::from_pairs([(0.0, 3), (1.0, 2)]);
         let half_b = WeightedSamples::from_pairs([(1.0, 4), (2.0, 1)]);
-        let mut merged = half_a.clone();
-        merged.merge(&half_b);
+        let merged =
+            WeightedSamples::from_pairs(half_a.pairs().iter().chain(half_b.pairs()).copied());
         let oneshot = WeightedSamples::from_pairs([(0.0, 3), (1.0, 6), (2.0, 1)]);
         assert_eq!(merged, oneshot);
         let other = WeightedSamples::from_pairs([(0.0, 8), (3.0, 2)]);

@@ -6,12 +6,12 @@
 //! raw samples would defeat the paper's scalability goal, so every statistic
 //! in this crate operates on [`WeightedSamples`] directly.
 
-use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// A multiset of real-valued observations with integer multiplicities.
 ///
-/// The sample values are kept sorted, which lets the ECDF and KS machinery
-/// run in a single linear merge pass.
+/// The sample values are kept sorted, which lets the two-sample statistics
+/// read both sides in one merge walk.
 ///
 /// # Example
 ///
@@ -20,9 +20,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// let s = WeightedSamples::from_pairs([(2.0, 3), (1.0, 1)]);
 /// assert_eq!(s.total_weight(), 4);
-/// assert_eq!(s.min(), Some(1.0));
+/// assert_eq!(s.pairs(), &[(1.0, 1), (2.0, 3)]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct WeightedSamples {
     /// Sorted by value; weights are strictly positive.
     pairs: Vec<(f64, u64)>,
@@ -126,16 +126,6 @@ impl WeightedSamples {
         self.total == 0
     }
 
-    /// The smallest observed value, if any.
-    pub fn min(&self) -> Option<f64> {
-        self.pairs.first().map(|&(x, _)| x)
-    }
-
-    /// The largest observed value, if any.
-    pub fn max(&self) -> Option<f64> {
-        self.pairs.last().map(|&(x, _)| x)
-    }
-
     /// The weighted mean of the observations, or `None` when empty.
     pub fn mean(&self) -> Option<f64> {
         if self.total == 0 {
@@ -155,32 +145,32 @@ impl WeightedSamples {
             .sum();
         Some(ss / self.total as f64)
     }
-
-    /// Merges another sample set into this one, summing multiplicities.
-    pub fn merge(&mut self, other: &WeightedSamples) {
-        if other.is_empty() {
-            return;
-        }
-        let merged = Self::from_pairs(
-            self.pairs
-                .iter()
-                .copied()
-                .chain(other.pairs.iter().copied()),
-        );
-        *self = merged;
-    }
 }
 
-impl FromIterator<(f64, u64)> for WeightedSamples {
-    fn from_iter<I: IntoIterator<Item = (f64, u64)>>(iter: I) -> Self {
-        Self::from_pairs(iter)
-    }
-}
-
-impl FromIterator<f64> for WeightedSamples {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        Self::from_values(iter)
-    }
+/// The merge walk over two supports sorted by the same increasing order:
+/// yields `(x weight, y weight)` for each point of their union, in that
+/// order, with weight 0 on a side that lacks the point. Values equal under
+/// `==` are one point (`-0.0` meets `0.0`, as [`WeightedSamples`]
+/// coalesces them) and advance both sides. The two-sample statistics read
+/// their inputs only through this walk.
+pub(crate) fn merge_walk<X, Y>(x: X, y: Y) -> impl Iterator<Item = (u64, u64)> + Clone
+where
+    X: Iterator<Item = (f64, u64)> + Clone,
+    Y: Iterator<Item = (f64, u64)> + Clone,
+{
+    let (mut x, mut y) = (x.peekable(), y.peekable());
+    std::iter::from_fn(move || {
+        let order = match (x.peek(), y.peek()) {
+            (None, None) => return None,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some(a), Some(b)) => a.0.partial_cmp(&b.0).expect("no NaN in WeightedSamples"),
+        };
+        Some((
+            x.next_if(|_| order.is_le()).map_or(0, |p| p.1),
+            y.next_if(|_| order.is_ge()).map_or(0, |p| p.1),
+        ))
+    })
 }
 
 #[cfg(test)]
@@ -200,8 +190,6 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.mean(), None);
         assert_eq!(s.variance(), None);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
     }
 
     #[test]
@@ -210,15 +198,6 @@ mod tests {
         let s = WeightedSamples::from_pairs([(1.0, 2), (4.0, 1)]);
         assert_eq!(s.mean(), Some(2.0));
         assert_eq!(s.variance(), Some(2.0));
-    }
-
-    #[test]
-    fn merge_sums_weights() {
-        let mut a = WeightedSamples::from_pairs([(1.0, 1), (2.0, 2)]);
-        let b = WeightedSamples::from_pairs([(2.0, 3), (5.0, 1)]);
-        a.merge(&b);
-        assert_eq!(a.pairs(), &[(1.0, 1), (2.0, 5), (5.0, 1)]);
-        assert_eq!(a.total_weight(), 7);
     }
 
     #[test]
@@ -231,12 +210,5 @@ mod tests {
     fn from_values_gives_unit_weights() {
         let s = WeightedSamples::from_values([2.0, 2.0, 1.0]);
         assert_eq!(s.pairs(), &[(1.0, 1), (2.0, 2)]);
-    }
-
-    #[test]
-    fn min_max() {
-        let s = WeightedSamples::from_values([5.0, -1.0, 3.0]);
-        assert_eq!(s.min(), Some(-1.0));
-        assert_eq!(s.max(), Some(5.0));
     }
 }

@@ -11,12 +11,11 @@
 //! has no successor; the paper models these with a special boundary block,
 //! here [`BOUNDARY`].
 //!
-//! Like [`Histogram`], the matrix uses the always-sorted storage of the
-//! private `pairtable` module: `record` is a binary-search insert, every
-//! read borrows the sorted entries, and [`TransitionMatrix::executions`]
-//! is a maintained O(1) total.
+//! Like [`Histogram`](crate::Histogram), the matrix uses the always-sorted
+//! storage of the private `pairtable` module: `record` is a binary-search
+//! insert, every read borrows the sorted entries, and
+//! [`TransitionMatrix::executions`] is a maintained O(1) total.
 
-use crate::histogram::Histogram;
 use crate::pairtable::PairTable;
 use crate::samples::WeightedSamples;
 use serde::de::DeError;
@@ -73,29 +72,12 @@ impl TransitionMatrix {
         self.counts.is_empty()
     }
 
-    /// Total number of recorded transitions originating at `src`.
-    pub fn out_count(&self, src: u32) -> u64 {
-        self.iter()
-            .filter(|&((s, _), _)| s == src)
-            .map(|(_, c)| c)
-            .sum()
-    }
-
     /// The number of node executions this matrix describes (eq. (5):
     /// Σ x_i = n). Each execution contributes exactly one `(src, dst)` pair.
     /// Maintained on write; O(1).
     #[inline]
     pub fn executions(&self) -> u64 {
         self.counts.total()
-    }
-
-    /// The feasible transition-matrix entry `a_{src,dst}`: the conditional
-    /// probability of leaving to `dst` given control arrived from `src`.
-    ///
-    /// Returns `None` when `src` was never an arrival source.
-    pub fn conditional(&self, src: u32, dst: u32) -> Option<f64> {
-        let row = self.out_count(src);
-        (row > 0).then(|| self.count(src, dst) as f64 / row as f64)
     }
 
     /// Merges another matrix into this one, summing traversal counts. Used
@@ -111,18 +93,17 @@ impl TransitionMatrix {
         self.counts.scale(k);
     }
 
-    /// Flattens the matrix into the `H_cf` histogram (eq. (8)): one bin per
-    /// `(src, dst)` pair, encoded as `src << 32 | dst`, weighted by the raw
-    /// traversal count so the KS test sees true sample sizes.
-    pub fn to_histogram(&self) -> Histogram {
-        self.iter()
-            .map(|((s, d), c)| (encode_pair(s, d), c))
-            .collect()
-    }
-
-    /// The weighted samples form of [`Self::to_histogram`].
+    /// Flattens the matrix into the `H_cf` histogram (eq. (8)), as weighted
+    /// samples: one value per `(src, dst)` pair, encoded by
+    /// [`encode_pair`], weighted by the raw traversal count so the KS test
+    /// sees true sample sizes.
     pub fn to_samples(&self) -> WeightedSamples {
-        self.to_histogram().to_samples()
+        // Entries iterate in `(src, dst)` order, which `encode_pair` and
+        // `u64 → f64` both preserve, so the sorted path applies (it
+        // coalesces the distinct codes that round to one f64 above 2^53).
+        WeightedSamples::from_sorted_pairs(
+            self.iter().map(|((s, d), c)| (encode_pair(s, d) as f64, c)),
+        )
     }
 
     /// An estimate of the in-memory footprint in bytes (Fig. 5 accounting).
@@ -180,14 +161,10 @@ impl<'de> Deserialize<'de> for TransitionMatrix {
     }
 }
 
-/// Encodes a `(src, dst)` pair into the histogram bin value.
+/// Encodes a `(src, dst)` pair into its `H_cf` sample value, `src << 32 |
+/// dst`.
 pub fn encode_pair(src: u32, dst: u32) -> u64 {
     (u64::from(src) << 32) | u64::from(dst)
-}
-
-/// Decodes a histogram bin value back to its `(src, dst)` pair.
-pub fn decode_pair(bin: u64) -> (u32, u32) {
-    ((bin >> 32) as u32, bin as u32)
 }
 
 #[cfg(test)]
@@ -202,30 +179,6 @@ mod tests {
         t.record(1, 2, 1);
         assert_eq!(t.count(1, 2), 4);
         assert_eq!(t.count(2, 1), 0);
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        for &(s, d) in &[(0, 0), (1, 2), (BOUNDARY, 7), (7, BOUNDARY)] {
-            assert_eq!(decode_pair(encode_pair(s, d)), (s, d));
-        }
-    }
-
-    #[test]
-    fn conditional_probabilities_satisfy_balance() {
-        // Node N visited 10 times: 6 arrivals from A (of which 4 leave to C,
-        // 2 to D), 4 arrivals from B (all leave to C).
-        let mut t = TransitionMatrix::new();
-        t.record(100, 200, 4); // A→C through N: encoded as arrivals/departures
-        t.record(100, 201, 2);
-        t.record(101, 200, 4);
-        assert_eq!(t.conditional(100, 200), Some(4.0 / 6.0));
-        assert_eq!(t.conditional(100, 201), Some(2.0 / 6.0));
-        assert_eq!(t.conditional(101, 200), Some(1.0));
-        assert_eq!(t.conditional(999, 200), None);
-        // I · A = O: out-count of 200 = 6·(4/6) + 4·1 = 8.
-        let o_c = 6.0 * t.conditional(100, 200).unwrap() + 4.0 * t.conditional(101, 200).unwrap();
-        assert!((o_c - 8.0).abs() < 1e-12);
     }
 
     #[test]
@@ -282,7 +235,7 @@ mod tests {
         assert_eq!(t.executions(), 0);
         assert_eq!(t.count(BOUNDARY, 1), 0);
         assert_eq!(t, TransitionMatrix::new());
-        assert!(t.to_histogram().is_empty());
+        assert!(t.to_samples().is_empty());
         assert_eq!(t.size_bytes(), 0);
     }
 

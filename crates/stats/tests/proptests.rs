@@ -1,8 +1,10 @@
 //! Property-based tests for the statistical core.
 
-use owl_stats::{ks_two_sample, welch_t_test, Ecdf, Histogram, TransitionMatrix, WeightedSamples};
+use owl_stats::{
+    class_mi_bits, ks_two_sample, welch_t_test, Histogram, TransitionMatrix, WeightedSamples,
+};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{BuildHasher, Hash, RandomState};
 
 /// The naive reference model for both sorted tables: a `BTreeMap` that
@@ -64,18 +66,148 @@ fn arb_samples() -> impl Strategy<Value = WeightedSamples> {
         .prop_map(|v| WeightedSamples::from_pairs(v.into_iter().map(|(x, w)| (x as f64, w))))
 }
 
-proptest! {
-    /// An ECDF is monotone non-decreasing and bounded by [0, 1].
-    #[test]
-    fn ecdf_is_monotone_and_bounded(s in arb_samples()) {
-        let e = Ecdf::from_samples(&s);
-        let mut prev = 0.0;
-        for &(x, f) in e.steps() {
-            prop_assert!(f >= prev, "non-monotone at {x}");
-            prop_assert!((0.0..=1.0).contains(&f));
-            prev = f;
+/// Values for samples whose two sides often share points: signed zeros,
+/// infinities and magnitudes far apart.
+const ALPHABET: [f64; 12] = [
+    0.0,
+    -0.0,
+    1.0,
+    -1.0,
+    2.5,
+    -2.5,
+    7.0,
+    -7.0,
+    1e300,
+    -1e300,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
+
+fn arb_alphabet_samples() -> impl Strategy<Value = WeightedSamples> {
+    prop::collection::vec((0..ALPHABET.len(), 1u64..20), 1..12)
+        .prop_map(|v| WeightedSamples::from_pairs(v.into_iter().map(|(i, w)| (ALPHABET[i], w))))
+}
+
+/// The KS statistic as the ECDF implementation computed it: one step list
+/// `(value, F(value))` per side, merged, with `D` the largest gap seen.
+fn ks_statistic_model(x: &WeightedSamples, y: &WeightedSamples) -> f64 {
+    let steps = |s: &WeightedSamples| {
+        let n = s.total_weight() as f64;
+        let mut cum = 0u64;
+        s.pairs()
+            .iter()
+            .map(|&(v, w)| {
+                cum += w;
+                (v, cum as f64 / n)
+            })
+            .collect::<Vec<_>>()
+    };
+    let (a, b) = (steps(x), steps(y));
+    let (mut i, mut j) = (0usize, 0usize);
+    let (mut fa, mut fb) = (0.0f64, 0.0f64);
+    let mut sup = 0.0f64;
+    while i < a.len() || j < b.len() {
+        let xa = a.get(i).map(|&(x, _)| x);
+        let xb = b.get(j).map(|&(x, _)| x);
+        match (xa, xb) {
+            (Some(x1), Some(x2)) if x1 < x2 => {
+                fa = a[i].1;
+                i += 1;
+            }
+            (Some(x1), Some(x2)) if x2 < x1 => {
+                fb = b[j].1;
+                j += 1;
+            }
+            (Some(_), Some(_)) => {
+                fa = a[i].1;
+                fb = b[j].1;
+                i += 1;
+                j += 1;
+            }
+            (Some(_), None) => {
+                fa = a[i].1;
+                i += 1;
+            }
+            (None, Some(_)) => {
+                fb = b[j].1;
+                j += 1;
+            }
+            (None, None) => unreachable!("loop condition excludes this"),
         }
-        prop_assert!((prev - 1.0).abs() < 1e-12, "ECDF must end at 1");
+        sup = sup.max((fa - fb).abs());
+    }
+    sup
+}
+
+/// Mutual information as the map-based estimator computed it: per-side
+/// probability maps keyed by bit pattern (`-0.0` as `0.0`), their key
+/// union, and the three entropies summed in key order.
+fn mi_model(x: &WeightedSamples, y: &WeightedSamples) -> f64 {
+    fn entropy_bits<'a>(counts: impl Iterator<Item = &'a f64>, total: f64) -> f64 {
+        if total <= 0.0 {
+            return 0.0;
+        }
+        counts
+            .filter(|&&c| c > 0.0)
+            .map(|&c| {
+                let p = c / total;
+                -p * p.log2()
+            })
+            .sum()
+    }
+    let key = |v: f64| if v == 0.0 { 0 } else { v.to_bits() };
+    let probabilities = |s: &WeightedSamples| {
+        let n = s.total_weight() as f64;
+        let mut map: BTreeMap<u64, f64> = BTreeMap::new();
+        for &(v, w) in s.pairs() {
+            *map.entry(key(v)).or_insert(0.0) += w as f64 / n;
+        }
+        map
+    };
+    let (px, py) = (probabilities(x), probabilities(y));
+    let support: BTreeSet<u64> = px.keys().chain(py.keys()).copied().collect();
+    let mix: Vec<f64> = support
+        .iter()
+        .map(|k| 0.5 * px.get(k).copied().unwrap_or(0.0) + 0.5 * py.get(k).copied().unwrap_or(0.0))
+        .collect();
+    let h_mix = entropy_bits(mix.iter(), mix.iter().sum());
+    let h_x = entropy_bits(px.values(), 1.0);
+    let h_y = entropy_bits(py.values(), 1.0);
+    (h_mix - 0.5 * h_x - 0.5 * h_y).clamp(0.0, 1.0)
+}
+
+proptest! {
+    /// The merge walk gives the KS statistic of the ECDF step-list merge
+    /// bit for bit, on sides that share many points (the small alphabet)
+    /// and on sides that share few.
+    #[test]
+    fn ks_statistic_matches_ecdf_merge_model(
+        (a, b) in (arb_alphabet_samples(), arb_alphabet_samples()),
+        (c, d) in (arb_samples(), arb_samples()),
+    ) {
+        for (x, y) in [(&a, &b), (&c, &d), (&a, &c)] {
+            prop_assert_eq!(
+                ks_two_sample(x, y, 0.95).statistic.to_bits(),
+                ks_statistic_model(x, y).to_bits(),
+                "{:?} vs {:?}", x, y
+            );
+        }
+    }
+
+    /// The merge walk gives the map-based MI estimate bit for bit, signed
+    /// zeros included, on the same three kinds of sample pairs.
+    #[test]
+    fn mi_matches_map_model(
+        (a, b) in (arb_alphabet_samples(), arb_alphabet_samples()),
+        (c, d) in (arb_samples(), arb_samples()),
+    ) {
+        for (x, y) in [(&a, &b), (&c, &d), (&a, &c)] {
+            prop_assert_eq!(
+                class_mi_bits(x, y).to_bits(),
+                mi_model(x, y).to_bits(),
+                "{:?} vs {:?}", x, y
+            );
+        }
     }
 
     /// The KS distance is symmetric and within [0, 1].
@@ -248,15 +380,5 @@ proptest! {
         let mut merged = build_matrix(&ops[..cut]);
         merged.merge(&build_matrix(&ops[cut..]));
         prop_assert_eq!(&merged, &t);
-    }
-
-    /// `eval` agrees with the brute-force definition of the ECDF.
-    #[test]
-    fn ecdf_eval_matches_definition(s in arb_samples(), t in -1_200i64..1_200) {
-        let e = Ecdf::from_samples(&s);
-        let t = t as f64;
-        let le: u64 = s.pairs().iter().filter(|&&(x, _)| x <= t).map(|&(_, w)| w).sum();
-        let expected = le as f64 / s.total_weight() as f64;
-        prop_assert!((e.eval(t) - expected).abs() < 1e-12);
     }
 }

@@ -51,10 +51,10 @@
 //! pair it with `--max-instructions` to see the budget catch it.
 
 use owl::core::{
-    detect, Detection, DetectionSummary, Engine, ExecFaultKind, FaultPlan, FaultRule,
-    FaultyProgram, InjectedFault, MetricsReport, OwlConfig, ResourceKind, TracedProgram, Verdict,
-    STREAM_RND,
+    detect, Detection, DetectionSummary, Engine, FaultPlan, FaultRule, FaultyProgram,
+    InjectedFault, MetricsReport, OwlConfig, ResourceKind, TracedProgram, Verdict, STREAM_RND,
 };
+use owl::gpu::ExecError;
 use owl::workloads::aes::{AesScan, AesTTable};
 use owl::workloads::coalescing::CoalescingStride;
 use owl::workloads::dummy::{DummySbox, NoiseDummy, RunawaySpin};
@@ -100,14 +100,12 @@ impl Options {
                 stream: Some(STREAM_RND),
                 run_index: None,
                 attempts_below: Some(2),
-                fault: InjectedFault::Exec(ExecFaultKind::FuelExhausted),
+                fault: InjectedFault::Exec(ExecError::FuelExhausted),
             }),
             // The whole random evidence stream fails persistently: E_rnd
             // falls below quorum and the detection exits 3 (inconclusive).
-            "quarantine" => FaultPlan::new().fail_stream(
-                STREAM_RND,
-                InjectedFault::Exec(ExecFaultKind::FuelExhausted),
-            ),
+            "quarantine" => FaultPlan::new()
+                .fail_stream(STREAM_RND, InjectedFault::Exec(ExecError::FuelExhausted)),
             // One random-evidence run panics persistently: the run is
             // quarantined, the quorum holds, the verdict is unchanged.
             "panic" => FaultPlan::new().fail_run(STREAM_RND, 0, InjectedFault::Panic),

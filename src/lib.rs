@@ -8,7 +8,8 @@
 //!   (the execution substrate),
 //! * [`host`] — an emulated CUDA host runtime with Pin-style host tracing,
 //! * [`dcfg`] — attributed dynamic control-flow graphs and Myers alignment,
-//! * [`stats`] — ECDF/KS-test machinery,
+//! * [`stats`] — the two-sample statistics (KS, Welch's t-test, mutual
+//!   information), histograms and transition matrices,
 //! * [`core`] — the three-phase detector (record → filter → analyse),
 //! * [`workloads`] — AES, RSA, mini-torch, mini-JPEG, and scalability
 //!   dummies,

@@ -8,10 +8,14 @@
 //! for parallelism 1/2/4/8.
 
 use owl::core::{
-    detect, fix_stream, DetectPhase, Detection, DetectionSummary, ExecFaultKind, FaultPlan,
-    FaultRule, FaultyProgram, InjectedFault, OwlConfig, RetryPolicy, TracedProgram, Verdict,
-    STREAM_RND, STREAM_USER,
+    detect, fix_stream, DetectPhase, Detection, DetectionSummary, FaultPlan, FaultRule,
+    FaultyProgram, InjectedFault, OwlConfig, RetryPolicy, TracedProgram, Verdict, STREAM_RND,
+    STREAM_USER,
 };
+use owl::gpu::hook::WarpRef;
+use owl::gpu::isa::MemSpace;
+use owl::gpu::mem::AccessError;
+use owl::gpu::{BlockId, ExecError};
 use owl::workloads::dummy::DummySbox;
 use owl::workloads::rsa::RsaLadder;
 
@@ -71,24 +75,60 @@ fn summary_json_without_faults<I>(
     serde_json::to_string_pretty(&serde_json::Value::Map(filtered)).expect("json")
 }
 
+/// An out-of-bounds global load: the launch failure with the most context.
+fn memory_fault() -> ExecError {
+    ExecError::Memory {
+        bb: BlockId(0),
+        inst_idx: 0,
+        warp: WarpRef { cta: 0, warp: 0 },
+        space: MemSpace::Global,
+        source: AccessError {
+            addr: 0xdead_beef,
+            width: 8,
+        },
+    }
+}
+
 fn every_fault() -> Vec<(&'static str, InjectedFault)> {
-    let mut faults: Vec<(&'static str, InjectedFault)> = ExecFaultKind::ALL
+    let warp = WarpRef { cta: 0, warp: 0 };
+    let exec_errors = [
+        memory_fault(),
+        ExecError::DivisionByZero {
+            bb: BlockId(0),
+            inst_idx: 0,
+            warp,
+        },
+        ExecError::ParamOutOfRange {
+            index: 7,
+            provided: 0,
+        },
+        ExecError::BarrierDivergence { warp },
+        ExecError::BarrierDeadlock,
+        ExecError::FuelExhausted,
+        ExecError::Cancelled,
+        ExecError::EmptyLaunch,
+        ExecError::InvalidWarpSize { warp_size: 0 },
+        ExecError::UnboundTexture { slot: 3 },
+    ];
+    let mut faults: Vec<(&'static str, InjectedFault)> = exec_errors
         .into_iter()
-        .map(|kind| {
-            // The error-kind tag the quarantine record must carry.
-            let tag = match kind {
-                ExecFaultKind::Memory => "exec_memory",
-                ExecFaultKind::DivisionByZero => "exec_division_by_zero",
-                ExecFaultKind::ParamOutOfRange => "exec_param_out_of_range",
-                ExecFaultKind::BarrierDivergence => "exec_barrier_divergence",
-                ExecFaultKind::BarrierDeadlock => "exec_barrier_deadlock",
-                ExecFaultKind::FuelExhausted => "exec_fuel_exhausted",
-                ExecFaultKind::Cancelled => "exec_cancelled",
-                ExecFaultKind::EmptyLaunch => "exec_empty_launch",
-                ExecFaultKind::InvalidWarpSize => "exec_invalid_warp_size",
-                ExecFaultKind::UnboundTexture => "exec_unbound_texture",
+        .map(|error| {
+            // The error-kind tag the quarantine record must carry. The match
+            // is exhaustive: a new variant fails to compile here until it
+            // has a tag, and a representative above.
+            let tag = match error {
+                ExecError::Memory { .. } => "exec_memory",
+                ExecError::DivisionByZero { .. } => "exec_division_by_zero",
+                ExecError::ParamOutOfRange { .. } => "exec_param_out_of_range",
+                ExecError::BarrierDivergence { .. } => "exec_barrier_divergence",
+                ExecError::BarrierDeadlock => "exec_barrier_deadlock",
+                ExecError::FuelExhausted => "exec_fuel_exhausted",
+                ExecError::Cancelled => "exec_cancelled",
+                ExecError::EmptyLaunch => "exec_empty_launch",
+                ExecError::InvalidWarpSize { .. } => "exec_invalid_warp_size",
+                ExecError::UnboundTexture { .. } => "exec_unbound_texture",
             };
-            (tag, InjectedFault::Exec(kind))
+            (tag, InjectedFault::Exec(error))
         })
         .collect();
     faults.push(("host_memcpy", InjectedFault::Memcpy));
@@ -145,7 +185,7 @@ fn transient_faults_recover_to_byte_identical_summaries() {
             stream: Some(STREAM_RND),
             run_index: None,
             attempts_below: Some(1),
-            fault: InjectedFault::Exec(ExecFaultKind::FuelExhausted),
+            fault: InjectedFault::Exec(ExecError::FuelExhausted),
         })
     };
     let mut full_jsons = Vec::new();
@@ -181,8 +221,7 @@ fn quarantine_below_quorum_is_inconclusive() {
     let w = RsaLadder::new(32);
     let exponents = [0x8000_0001u64, 0xffff_ffff, 3];
     let retry = ONE_ATTEMPT;
-    let plan =
-        || FaultPlan::new().fail_stream(STREAM_RND, InjectedFault::Exec(ExecFaultKind::Memory));
+    let plan = || FaultPlan::new().fail_stream(STREAM_RND, InjectedFault::Exec(memory_fault()));
     let mut jsons = Vec::new();
     for parallelism in [1, 2, 4, 8] {
         let detection = detect_injected(&w, &exponents, plan(), parallelism, retry);
@@ -215,8 +254,7 @@ fn quarantine_below_quorum_is_inconclusive() {
 fn lost_user_input_downgrades_leak_free_to_inconclusive() {
     let w = RsaLadder::new(32);
     let exponents = [0x8000_0001u64, 0xffff_ffff, 3];
-    let plan =
-        FaultPlan::new().fail_run(STREAM_USER, 0, InjectedFault::Exec(ExecFaultKind::Memory));
+    let plan = FaultPlan::new().fail_run(STREAM_USER, 0, InjectedFault::Exec(memory_fault()));
     let faulty = FaultyProgram::new(&w, plan);
     // No force_analysis: the single surviving class takes the early return.
     let config = OwlConfig {
@@ -242,8 +280,7 @@ fn lost_user_input_downgrades_leak_free_to_inconclusive() {
 fn all_inputs_lost_is_inconclusive_not_an_error() {
     let w = RsaLadder::new(32);
     let exponents = [0x8000_0001u64, 0xffff_ffff, 3];
-    let plan =
-        FaultPlan::new().fail_stream(STREAM_USER, InjectedFault::Exec(ExecFaultKind::Memory));
+    let plan = FaultPlan::new().fail_stream(STREAM_USER, InjectedFault::Exec(memory_fault()));
     let detection = detect_injected(&w, &exponents, plan, 2, ONE_ATTEMPT);
     assert_eq!(detection.verdict, Verdict::Inconclusive);
     assert!(detection.filter.classes.is_empty());
@@ -291,7 +328,7 @@ fn retry_budget_is_honoured_per_run() {
         STREAM_RND,
         3,
         2,
-        InjectedFault::Exec(ExecFaultKind::BarrierDeadlock),
+        InjectedFault::Exec(ExecError::BarrierDeadlock),
     );
     let detection = detect_injected(&w, &inputs, plan, 2, RetryPolicy { max_attempts: 3 });
     assert!(detection.faults.is_empty(), "third attempt succeeds");
@@ -303,7 +340,7 @@ fn retry_budget_is_honoured_per_run() {
         STREAM_RND,
         3,
         2,
-        InjectedFault::Exec(ExecFaultKind::BarrierDeadlock),
+        InjectedFault::Exec(ExecError::BarrierDeadlock),
     );
     let detection = detect_injected(&w, &inputs, plan, 2, RetryPolicy { max_attempts: 2 });
     assert_eq!(detection.faults.len(), 1);

@@ -20,9 +20,10 @@
 //! until proven otherwise.
 
 use owl::core::{
-    detect, DetectionSummary, ExecFaultKind, FaultPlan, FaultyProgram, InjectedFault, OwlConfig,
-    ResourceKind, TracedProgram, STREAM_RND,
+    detect, DetectionSummary, FaultPlan, FaultyProgram, InjectedFault, OwlConfig, ResourceKind,
+    TracedProgram, STREAM_RND,
 };
+use owl::gpu::ExecError;
 use owl::workloads::aes::AesTTable;
 use owl::workloads::dummy::DummySbox;
 use owl::workloads::mlp::{MlpHiddenWidth, WIDTHS};
@@ -55,10 +56,10 @@ const CASES: [Case; 8] = [
         fixture: "dummy_quarantine_summary.json",
         summary: || {
             // `owl-detect dummy --inject quarantine`.
-            dummy_sbox(FaultPlan::new().fail_stream(
-                STREAM_RND,
-                InjectedFault::Exec(ExecFaultKind::FuelExhausted),
-            ))
+            dummy_sbox(
+                FaultPlan::new()
+                    .fail_stream(STREAM_RND, InjectedFault::Exec(ExecError::FuelExhausted)),
+            )
         },
     },
     Case {

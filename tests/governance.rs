@@ -7,9 +7,10 @@
 
 use owl::core::{
     detect, detect_with_cancel, CancelToken, ConfigError, DetectPhase, Detection, DetectionSummary,
-    ExecFaultKind, FaultPlan, InjectedFault, OwlConfig, ResourceBudget, ResourceKind, RetryPolicy,
-    Verdict, STREAM_RND,
+    FaultPlan, InjectedFault, OwlConfig, ResourceBudget, ResourceKind, RetryPolicy, Verdict,
+    STREAM_RND,
 };
+use owl::gpu::ExecError;
 use owl::workloads::dummy::{DummySbox, RunawaySpin};
 use owl::workloads::rsa::RsaLadder;
 use std::time::Duration;
@@ -209,10 +210,8 @@ fn evidence_budget_overrun_is_inconclusive_without_quarantining_runs() {
 /// read off an empty random evidence set.
 #[test]
 fn zero_quorum_never_tests_an_empty_evidence_set() {
-    let plan = FaultPlan::new().fail_stream(
-        STREAM_RND,
-        InjectedFault::Exec(ExecFaultKind::FuelExhausted),
-    );
+    let plan =
+        FaultPlan::new().fail_stream(STREAM_RND, InjectedFault::Exec(ExecError::FuelExhausted));
     let faulty = owl::core::FaultyProgram::new(DummySbox::new(64), plan);
     let config = OwlConfig {
         runs: 8,
