@@ -4,8 +4,10 @@
 //! classifies runs and the evidence cache dedups traces; its value must
 //! not drift silently across refactors of the tracer, the A-DCFG
 //! aggregation, or the histogram storage. These tests pin the digest of
-//! three representative workloads on fixed-seed inputs and a fixed
-//! `RunSpec`. A failure here means trace identity changed: either revert
+//! four representative workloads on fixed-seed inputs and a fixed
+//! `RunSpec`. LayerNorm is the warp-uniform one: every lane recomputes the
+//! row's moments, so nearly all of its values and load addresses are the
+//! same on every active lane. A failure here means trace identity changed: either revert
 //! the behavioural change, or — if the change is intentional and
 //! documented — update the pinned constants in the same commit.
 //!
@@ -17,6 +19,7 @@ use owl::gpu::exec::{launch_lowered, Interpreter};
 use owl::workloads::aes::AesTTable;
 use owl::workloads::histogram::HistogramDirect;
 use owl::workloads::rsa::RsaSquareMultiply;
+use owl::workloads::torch::{TorchFunction, TorchOpKind};
 use owl_conformance::launch_oracle;
 
 const SPEC: RunSpec = RunSpec {
@@ -74,8 +77,17 @@ fn histogram_direct_digest_is_pinned() {
     pinned_digest(&program, &input, HISTOGRAM_DIRECT_DIGEST);
 }
 
+#[test]
+fn layer_norm_digest_is_pinned() {
+    let program = TorchFunction::new(TorchOpKind::LayerNorm);
+    let input = program.random_input(0x1a7e_0001);
+    pinned_digest(&program, &input, LAYER_NORM_DIGEST);
+}
+
 // Pinned 2026-08: FNV-1a over (key sequence, launch config, A-DCFG) per
 // invocation — see `ProgramTrace::digest`.
 const AES_TTABLE_DIGEST: u64 = 0x56ae_a01a_6f41_5aa1;
 const RSA_SQMUL_DIGEST: u64 = 0x6f3a_a3cc_7971_7b3c;
 const HISTOGRAM_DIRECT_DIGEST: u64 = 0x03db_27a0_8ac6_60e3;
+// Pinned 2026-10, the same way.
+const LAYER_NORM_DIGEST: u64 = 0x7cb8_92f5_31ce_ee2e;
