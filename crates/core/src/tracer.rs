@@ -118,12 +118,21 @@ impl KernelHook for OwlTracer {
         let builder = self.current.as_mut().expect("mem_batch outside a kernel");
         let mut rec = builder.block_recorder(warp_key(warp));
         for (desc, lanes) in batch.events() {
-            rec.access(
-                desc.inst_idx,
-                lanes
-                    .iter()
-                    .map(|&(_, addr)| encode_address(desc.space, addr, mem)),
-            );
+            match lanes {
+                // A broadcast: the feature is a pure function of the
+                // address (and a launch's fixed allocation map), so one
+                // encoding serves every lane.
+                [(_, first), rest @ ..] if rest.iter().all(|&(_, addr)| addr == *first) => {
+                    let feature = encode_address(desc.space, *first, mem);
+                    rec.access(desc.inst_idx, std::iter::repeat_n(feature, lanes.len()));
+                }
+                _ => rec.access(
+                    desc.inst_idx,
+                    lanes
+                        .iter()
+                        .map(|&(_, addr)| encode_address(desc.space, addr, mem)),
+                ),
+            }
             rec.cost(desc.inst_idx, desc.cost);
         }
     }

@@ -27,6 +27,36 @@
 //! lanes. Inactive lanes are evaluated too, so every ALU function is
 //! total; only an *active* lane's zero divisor is an error. Memory
 //! instructions visit the active lanes in lane order.
+//!
+//! # Uniform rows
+//!
+//! Many values are the same in every lane (a kernel parameter, a block
+//! index, a loop counter, a moment every thread recomputes). Each slot
+//! carries a *uniform* tag with one invariant: a tagged slot's row holds
+//! one value in every lane, valid or not. Rows stay materialised, so every
+//! per-lane reader is unchanged; only [`WarpExec::row`] reads the tag, and
+//! gives a tagged register as a [`Row::Splat`].
+//!
+//! * `Mov`, `Bin` and `Un` on immediates and tagged registers, `LdParam`,
+//!   `Ballot`, a `Shfl` of a tagged source, the per-warp special registers
+//!   (`Ctaid*`, `NTid*`, `NCtaid*`, `WarpId`) and a `Sel` whose predicate
+//!   agrees on every active lane and picks a uniform operand evaluate
+//!   once. Under the whole-warp mask the value fills the row and tags the
+//!   slot; under a partial mask it goes to the active lanes and clears the
+//!   tag, since the inactive lanes keep their old values.
+//! * Every other write (a lane-vector ALU row, a per-lane load, atomic or
+//!   texel, `Tid*`, `LaneId`, `GlobalTid`) clears the tag.
+//! * `SetP` on two uniform operands compares once.
+//! * A *broadcast load* — a global, shared or constant `Ld` whose active
+//!   lanes share one address — reads memory once and writes that value to
+//!   the active lanes (tagging the slot under the whole-warp mask). Its
+//!   event still lists every active lane's `(lane, addr)`, so hooks and
+//!   the cost model see the per-lane stream, and a faulting address fails
+//!   at the first active lane with no register written. `Local` memory is
+//!   private to each lane, so local loads keep the per-lane loop.
+//!
+//! A warp whose lanes extend past its block never reaches the whole-warp
+//! mask, so its slots are never tagged once written.
 
 use crate::cancel::CancelToken;
 use crate::error::ExecError;
@@ -148,6 +178,8 @@ pub(crate) struct WarpExec<'p> {
     /// Register-major file: slot `r` is the row
     /// `regs[r * warp_size..(r + 1) * warp_size]`.
     regs: Vec<u64>,
+    /// `uniform[r]`: slot `r`'s row holds one value in every lane.
+    uniform: Vec<bool>,
     /// One lane mask per predicate register.
     preds: Vec<Mask>,
     /// Per-lane private (local) memory, allocated only when the kernel
@@ -209,6 +241,8 @@ impl<'p> WarpExec<'p> {
             full_mask: Mask::MAX >> (Mask::BITS - warp_size),
             warp_size: n_lanes,
             regs: vec![0; usize::from(kernel.slots()) * n_lanes],
+            // Every row starts as zeros: one value.
+            uniform: vec![true; usize::from(kernel.slots())],
             preds: vec![0; usize::from(kernel.num_preds)],
             local,
             ctaid: grid.unlinearize(u64::from(cta_linear)),
@@ -237,17 +271,41 @@ impl<'p> WarpExec<'p> {
         &self.regs[usize::from(r.0) * self.warp_size..][..self.warp_size]
     }
 
+    /// Register `r` across the warp, for writing.
+    #[inline]
+    fn reg_row_mut(&mut self, r: Reg) -> &mut [u64] {
+        &mut self.regs[usize::from(r.0) * self.warp_size..][..self.warp_size]
+    }
+
+    /// Writes one lane of register `r`, which may now differ across lanes.
     #[inline]
     fn set_reg(&mut self, lane: usize, r: Reg, v: u64) {
         self.regs[usize::from(r.0) * self.warp_size + lane] = v;
+        self.uniform[usize::from(r.0)] = false;
     }
 
-    /// An operand across the warp.
+    /// An operand across the warp: a tagged register or an immediate is a
+    /// [`Row::Splat`].
     #[inline]
     fn row(&self, op: Operand) -> Row<'_> {
         match op {
+            Operand::Reg(r) if self.uniform[usize::from(r.0)] => {
+                Row::Splat(self.regs[usize::from(r.0) * self.warp_size])
+            }
             Operand::Reg(r) => Row::Lanes(self.reg_row(r)),
             Operand::Imm(v) => Row::Splat(v),
+        }
+    }
+
+    /// The one value an operand holds in every `active` lane, if it does.
+    fn common_value(&self, op: Operand, active: Mask) -> Option<u64> {
+        match self.row(op) {
+            Row::Splat(v) => Some(v),
+            Row::Lanes(row) => {
+                let mut values = lanes(active).map(|lane| row[lane]);
+                let first = values.next()?;
+                values.all(|v| v == first).then_some(first)
+            }
         }
     }
 
@@ -267,20 +325,40 @@ impl<'p> WarpExec<'p> {
     }
 
     /// Evaluates `f` over every lane into a stack row, then writes the
-    /// row's `active` lanes to register `dst`.
+    /// row's `active` lanes to register `dst`, whose lanes may now differ.
     #[inline]
     fn alu(&mut self, dst: Reg, active: Mask, f: impl FnOnce(&Self, &mut [u64])) {
         let mut buf = [0; MAX_LANES];
         let out = &mut buf[..self.warp_size];
         f(self, out);
-        let row = &mut self.regs[usize::from(dst.0) * self.warp_size..][..self.warp_size];
-        if active == self.full_mask {
+        let full = active == self.full_mask;
+        let row = self.reg_row_mut(dst);
+        if full {
             row.copy_from_slice(out);
         } else {
             for lane in lanes(active) {
                 row[lane] = out[lane];
             }
         }
+        self.uniform[usize::from(dst.0)] = false;
+    }
+
+    /// Writes `v` to the `active` lanes of register `dst`. Under the
+    /// whole-warp mask the row becomes one value and the slot is tagged
+    /// uniform; under a partial mask the inactive lanes keep their values,
+    /// so the tag is cleared.
+    #[inline]
+    fn write_uniform(&mut self, dst: Reg, active: Mask, v: u64) {
+        let full = active == self.full_mask;
+        let row = self.reg_row_mut(dst);
+        if full {
+            row.fill(v);
+        } else {
+            for lane in lanes(active) {
+                row[lane] = v;
+            }
+        }
+        self.uniform[usize::from(dst.0)] = full;
     }
 
     /// Runs until the next barrier or completion.
@@ -552,9 +630,10 @@ impl<'p> WarpExec<'p> {
             return Ok(());
         }
         match inst.op {
-            InstOp::Mov { dst, src } => {
-                self.alu(dst, active, |w, out| map1(out, w.row(src), |x| x));
-            }
+            InstOp::Mov { dst, src } => match self.row(src) {
+                Row::Splat(v) => self.write_uniform(dst, active, v),
+                Row::Lanes(_) => self.alu(dst, active, |w, out| map1(out, w.row(src), |x| x)),
+            },
             InstOp::Bin { op, dst, a, b } => {
                 if divides_by_zero(op, self.row(b), active) {
                     return Err(ExecError::DivisionByZero {
@@ -563,21 +642,49 @@ impl<'p> WarpExec<'p> {
                         warp: self.warp_ref,
                     });
                 }
-                self.alu(dst, active, |w, out| eval_bin(op, w.row(a), w.row(b), out));
+                match (self.row(a), self.row(b)) {
+                    (x @ Row::Splat(_), y @ Row::Splat(_)) => {
+                        let v = once(|out| eval_bin(op, x, y, out));
+                        self.write_uniform(dst, active, v);
+                    }
+                    _ => self.alu(dst, active, |w, out| eval_bin(op, w.row(a), w.row(b), out)),
+                }
             }
-            InstOp::Un { op, dst, a } => {
-                self.alu(dst, active, |w, out| eval_un(op, w.row(a), out));
-            }
+            InstOp::Un { op, dst, a } => match self.row(a) {
+                x @ Row::Splat(_) => {
+                    let v = once(|out| eval_un(op, x, out));
+                    self.write_uniform(dst, active, v);
+                }
+                Row::Lanes(_) => self.alu(dst, active, |w, out| eval_un(op, w.row(a), out)),
+            },
             InstOp::SetP { pred, op, a, b } => {
-                let mut buf = [0; MAX_LANES];
-                let bits = eval_cmp(op, self.row(a), self.row(b), &mut buf[..self.warp_size]);
+                let bits = match (self.row(a), self.row(b)) {
+                    (x @ Row::Splat(_), y @ Row::Splat(_)) => {
+                        if eval_cmp(op, x, y, &mut [0]) == 1 {
+                            Mask::MAX
+                        } else {
+                            0
+                        }
+                    }
+                    (x, y) => eval_cmp(op, x, y, &mut [0; MAX_LANES][..self.warp_size]),
+                };
                 // Inactive lanes keep their predicate bits.
                 let p = &mut self.preds[usize::from(pred.0)];
                 *p = (*p & !active) | (bits & active);
             }
             InstOp::Sel { dst, pred, a, b } => {
                 let p = self.preds[usize::from(pred.0)];
-                self.alu(dst, active, |w, out| select(p, w.row(a), w.row(b), out));
+                // A predicate that agrees on every active lane makes the
+                // select a move of the operand it picks.
+                let picked = match p & active {
+                    taken if taken == active => Some(a),
+                    0 => Some(b),
+                    _ => None,
+                };
+                match picked.map(|op| self.row(op)) {
+                    Some(Row::Splat(v)) => self.write_uniform(dst, active, v),
+                    _ => self.alu(dst, active, |w, out| select(p, w.row(a), w.row(b), out)),
+                }
             }
             InstOp::Ld {
                 dst,
@@ -587,22 +694,40 @@ impl<'p> WarpExec<'p> {
             } => {
                 let width = width.bytes();
                 env.batch.begin_event(bb, inst_idx, space, AccessKind::Read);
-                for lane in lanes(active) {
-                    let a = self.eval(lane, addr);
-                    env.batch.push_addr(lane as u8, a);
-                    match self.load(space, lane, a, width, env) {
-                        Ok(v) => self.set_reg(lane, dst, v),
-                        Err(source) => {
-                            env.batch.abort_event();
-                            return Err(ExecError::Memory {
-                                bb,
-                                inst_idx,
-                                warp: self.warp_ref,
-                                space,
-                                source,
-                            });
-                        }
+                // Local memory is private to each lane, so one local address
+                // is still one value per lane.
+                let broadcast = match space {
+                    MemSpace::Global | MemSpace::Shared | MemSpace::Constant => {
+                        self.common_value(addr, active)
                     }
+                    MemSpace::Local | MemSpace::Texture => None,
+                };
+                let loaded = match broadcast {
+                    Some(a) => {
+                        for lane in lanes(active) {
+                            env.batch.push_addr(lane as u8, a);
+                        }
+                        let first = active.trailing_zeros() as usize;
+                        self.load(space, first, a, width, env)
+                            .map(|v| self.write_uniform(dst, active, v))
+                    }
+                    None => lanes(active).try_for_each(|lane| {
+                        let a = self.eval(lane, addr);
+                        env.batch.push_addr(lane as u8, a);
+                        let v = self.load(space, lane, a, width, env)?;
+                        self.set_reg(lane, dst, v);
+                        Ok(())
+                    }),
+                };
+                if let Err(source) = loaded {
+                    env.batch.abort_event();
+                    return Err(ExecError::Memory {
+                        bb,
+                        inst_idx,
+                        warp: self.warp_ref,
+                        space,
+                        source,
+                    });
                 }
                 env.batch.finish_event(env.counters);
             }
@@ -640,7 +765,11 @@ impl<'p> WarpExec<'p> {
                         index,
                         provided: env.args.len(),
                     })?;
-                self.alu(dst, active, |_, out| out.fill(v));
+                self.write_uniform(dst, active, v);
+            }
+            InstOp::Special { dst, sr } if per_warp(sr) => {
+                let v = self.special(active.trailing_zeros() as usize, sr);
+                self.write_uniform(dst, active, v);
             }
             InstOp::Special { dst, sr } => {
                 for lane in lanes(active) {
@@ -704,10 +833,12 @@ impl<'p> WarpExec<'p> {
                 dst,
                 src,
                 lane: lane_sel,
-            } => {
+            } => match self.row(Operand::Reg(src)) {
+                // Every peer, active or not, holds the same value.
+                Row::Splat(v) => self.write_uniform(dst, active, v),
                 // The result row is built before any lane writes, so every
                 // lane reads its peer's *pre-instruction* value.
-                self.alu(dst, active, |w, out| {
+                Row::Lanes(_) => self.alu(dst, active, |w, out| {
                     let (src, sel, ws) = (w.reg_row(src), w.row(lane_sel), w.warp_size);
                     for (lane, o) in out.iter_mut().enumerate() {
                         let sel = sel.at(lane) as usize;
@@ -723,11 +854,11 @@ impl<'p> WarpExec<'p> {
                             src[lane]
                         };
                     }
-                });
-            }
+                }),
+            },
             InstOp::Ballot { dst, pred } => {
                 let mask = self.pred_mask(active, pred);
-                self.alu(dst, active, |_, out| out.fill(mask));
+                self.write_uniform(dst, active, mask);
             }
             InstOp::Tex { dst, slot, x, y } => {
                 let texture = env
@@ -823,8 +954,19 @@ impl<'p> WarpExec<'p> {
     }
 }
 
-/// An ALU operand across the warp: a register row, or an immediate every
-/// lane reads.
+/// `true` for the special registers that hold one value per warp.
+fn per_warp(sr: crate::isa::SpecialReg) -> bool {
+    use crate::isa::SpecialReg::*;
+    match sr {
+        CtaidX | CtaidY | CtaidZ | NTidX | NTidY | NTidZ | NCtaidX | NCtaidY | NCtaidZ | WarpId => {
+            true
+        }
+        TidX | TidY | TidZ | LaneId | GlobalTid => false,
+    }
+}
+
+/// An ALU operand across the warp: a register row, or one value every lane
+/// reads (an immediate or a uniform register).
 #[derive(Clone, Copy)]
 enum Row<'a> {
     Lanes(&'a [u64]),
@@ -878,6 +1020,15 @@ fn map2(out: &mut [u64], a: Row<'_>, b: Row<'_>, f: impl Fn(u64, u64) -> u64) {
         }
         (Row::Splat(x), Row::Splat(y)) => out.fill(f(x, y)),
     }
+}
+
+/// The one result of an ALU function whose operands are all
+/// [`Row::Splat`]: its evaluation over a one-lane row.
+#[inline(always)]
+fn once(f: impl FnOnce(&mut [u64])) -> u64 {
+    let mut out = [0];
+    f(&mut out);
+    out[0]
 }
 
 fn f32_of(bits: u64) -> f32 {

@@ -65,6 +65,7 @@ use owl::workloads::render::GlyphRender;
 use owl::workloads::rsa::{RsaLadder, RsaSquareMultiply};
 use owl::workloads::search::{BinarySearchEarlyExit, BinarySearchFixedDepth};
 use owl::workloads::torch::{Tensor, TorchFunction, TorchInput, TorchOpKind};
+use std::io::{self, Write};
 use std::num::NonZeroU32;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -253,91 +254,22 @@ fn verdict_exit_code(verdict: Verdict) -> ExitCode {
     }
 }
 
+/// Prints the detection to stdout and writes `--metrics-out`. A closed or
+/// failing stdout is an error (exit 1), not a panic.
 fn report<I>(name: &str, detection: &Detection<I>, opts: &Options) -> Result<ExitCode, String> {
     let config = &opts.config;
+    let mut out = io::stdout().lock();
     match opts.format {
         OutputFormat::Json => {
             let summary = DetectionSummary::new(name, detection, config);
             let json = serde_json::to_string_pretty(&summary)
                 .map_err(|e| format!("serializing summary: {e}"))?;
-            println!("{json}");
+            writeln!(out, "{json}")
         }
-        OutputFormat::Text => {
-            println!("workload: {name}");
-            println!("verdict: {:?}", detection.verdict);
-            println!(
-                "classes: {} | traces for evidence: {} | total {:?}",
-                detection.filter.classes.len(),
-                detection.stats.evidence_traces,
-                detection.stats.total_time
-            );
-            let c = &detection.counters;
-            println!(
-                "executed: {} instructions, {} branches ({} divergence, {} reconvergence), \
-                 {} mem accesses ({} transactions, {} bank-conflict cycles)",
-                c.instructions,
-                c.branches,
-                c.divergence_events,
-                c.reconvergences,
-                c.mem_accesses,
-                c.mem_transactions,
-                c.bank_conflicts
-            );
-            let fc = &detection.fault_counters;
-            if !detection.faults.is_empty() || !fc.is_zero() {
-                println!(
-                    "faults: {} run(s) quarantined, {} retried, {} panic(s) caught",
-                    fc.total_quarantined(),
-                    fc.trace_collection.retried + fc.evidence.retried + fc.analysis.retried,
-                    fc.trace_collection.panics + fc.evidence.panics + fc.analysis.panics
-                );
-                for record in detection.faults.iter().take(8) {
-                    println!("  {record}");
-                }
-                if detection.faults.len() > 8 {
-                    println!(
-                        "  … {} more (see --format json)",
-                        detection.faults.len() - 8
-                    );
-                }
-            }
-            print!("{}", detection.report);
-            if let Some(cmp) = &detection.engine_comparison {
-                println!(
-                    "engine comparison ({}): {} location(s), {} agreed, {} split",
-                    cmp.engines.join("/"),
-                    cmp.rows.len(),
-                    cmp.agreements,
-                    cmp.disagreements
-                );
-                for (engine, leaks) in cmp.engines.iter().zip(&cmp.leaks_per_engine) {
-                    println!("  {engine}: {leaks} leak(s)");
-                }
-                for row in &cmp.rows {
-                    let verdicts: Vec<String> = row
-                        .verdicts
-                        .iter()
-                        .map(|v| {
-                            let mark = if v.flagged { "leak" } else { "clean" };
-                            match v.bits {
-                                Some(bits) if v.flagged => {
-                                    format!("{}={mark} ({bits:.3} bits)", v.engine)
-                                }
-                                _ => format!("{}={mark}", v.engine),
-                            }
-                        })
-                        .collect();
-                    println!(
-                        "  [{}] {:?} {}: {}",
-                        if row.agreed { "agree" } else { "split" },
-                        row.kind,
-                        row.location,
-                        verdicts.join(", ")
-                    );
-                }
-            }
-        }
+        OutputFormat::Text => write_text(&mut out, name, detection),
     }
+    .and_then(|()| out.flush())
+    .map_err(|e| format!("writing the report: {e}"))?;
     if let Some(path) = &opts.metrics_out {
         let metrics = MetricsReport::new(name, detection, config);
         let json = serde_json::to_string_pretty(&metrics)
@@ -345,6 +277,90 @@ fn report<I>(name: &str, detection: &Detection<I>, opts: &Options) -> Result<Exi
         std::fs::write(path, json + "\n").map_err(|e| format!("writing {path}: {e}"))?;
     }
     Ok(verdict_exit_code(detection.verdict))
+}
+
+/// The `--format text` report.
+fn write_text<I>(out: &mut impl Write, name: &str, detection: &Detection<I>) -> io::Result<()> {
+    writeln!(out, "workload: {name}")?;
+    writeln!(out, "verdict: {:?}", detection.verdict)?;
+    writeln!(
+        out,
+        "classes: {} | traces for evidence: {} | total {:?}",
+        detection.filter.classes.len(),
+        detection.stats.evidence_traces,
+        detection.stats.total_time
+    )?;
+    let c = &detection.counters;
+    writeln!(
+        out,
+        "executed: {} instructions, {} branches ({} divergence, {} reconvergence), \
+         {} mem accesses ({} transactions, {} bank-conflict cycles)",
+        c.instructions,
+        c.branches,
+        c.divergence_events,
+        c.reconvergences,
+        c.mem_accesses,
+        c.mem_transactions,
+        c.bank_conflicts
+    )?;
+    let fc = &detection.fault_counters;
+    if !detection.faults.is_empty() || !fc.is_zero() {
+        writeln!(
+            out,
+            "faults: {} run(s) quarantined, {} retried, {} panic(s) caught",
+            fc.total_quarantined(),
+            fc.trace_collection.retried + fc.evidence.retried + fc.analysis.retried,
+            fc.trace_collection.panics + fc.evidence.panics + fc.analysis.panics
+        )?;
+        for record in detection.faults.iter().take(8) {
+            writeln!(out, "  {record}")?;
+        }
+        if detection.faults.len() > 8 {
+            writeln!(
+                out,
+                "  … {} more (see --format json)",
+                detection.faults.len() - 8
+            )?;
+        }
+    }
+    write!(out, "{}", detection.report)?;
+    if let Some(cmp) = &detection.engine_comparison {
+        writeln!(
+            out,
+            "engine comparison ({}): {} location(s), {} agreed, {} split",
+            cmp.engines.join("/"),
+            cmp.rows.len(),
+            cmp.agreements,
+            cmp.disagreements
+        )?;
+        for (engine, leaks) in cmp.engines.iter().zip(&cmp.leaks_per_engine) {
+            writeln!(out, "  {engine}: {leaks} leak(s)")?;
+        }
+        for row in &cmp.rows {
+            let verdicts: Vec<String> = row
+                .verdicts
+                .iter()
+                .map(|v| {
+                    let mark = if v.flagged { "leak" } else { "clean" };
+                    match v.bits {
+                        Some(bits) if v.flagged => {
+                            format!("{}={mark} ({bits:.3} bits)", v.engine)
+                        }
+                        _ => format!("{}={mark}", v.engine),
+                    }
+                })
+                .collect();
+            writeln!(
+                out,
+                "  [{}] {:?} {}: {}",
+                if row.agreed { "agree" } else { "split" },
+                row.kind,
+                row.location,
+                verdicts.join(", ")
+            )?;
+        }
+    }
+    Ok(())
 }
 
 fn torch_kind(name: &str) -> Option<TorchOpKind> {

@@ -144,6 +144,29 @@ fn injected_fault_stdout_is_byte_identical_across_parallelism() {
     );
 }
 
+/// A stdout closed by its reader (`owl-detect … | head -c 10`) is an
+/// error: exit 1 with one line on stderr, never a panic. The pipe's reader
+/// is dropped before the spawn, so every write fails with `EPIPE`.
+#[test]
+fn closed_stdout_exits_one_without_a_panic() {
+    for format in ["json", "text"] {
+        let (reader, writer) = std::io::pipe().expect("create a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_owl-detect"))
+            .args(["dummy", "--runs", "8", "--format", format])
+            .stdout(writer)
+            .output()
+            .expect("spawn owl-detect");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{format}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{format}: {stderr}");
+        assert!(
+            stderr.starts_with("error: writing the report:") && stderr.lines().count() == 1,
+            "{format}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn unknown_inject_scenario_exits_one() {
     let out = owl_detect(&["dummy", "--runs", "8", "--inject", "no-such-fault"]);
